@@ -17,6 +17,9 @@
 #   3. AddressSanitizer+UndefinedBehaviorSanitizer build, full test suite
 #      (lifetime bugs in pooled plan instances, cancellation unwinds, and
 #      UB anywhere; MAGICDB_SANITIZE=address enables both).
+# The Release build also runs every magicbench workload (the repository
+# benchmark, magicbench/run.py) for 3 s at seed 1 and fails unless every
+# query is correct and none failed.
 # Every build also smoke-runs bench_server_throughput, whose closed-loop and
 # streaming-cursor sections assert byte-identity against Database::Query and
 # the cursor queue's bounded-memory contract while racing sessions on the
@@ -94,6 +97,23 @@ echo "=== Parallel-scaling bench smoke (Release, DoP 2) ==="
 
 echo "=== Server-throughput bench smoke (Release) ==="
 ./build-release/bench/bench_server_throughput --smoke
+
+# Repository-benchmark smoke: every magicbench workload for 3 s at seed 1.
+# Each query passes the benchmark's own gates (DoP identity on analytic,
+# the magic-off oracle on views_adhoc, spill identity under a 1 MiB limit on
+# analytic_spill); any wrong answer or failed query fails the check.
+for workload in views_adhoc analytic analytic_spill; do
+  echo "=== magicbench smoke: ${workload} (Release, seed 1, 3 s) ==="
+  CARGO_TARGET_DIR=build-release \
+    python3 magicbench/run.py --workload "${workload}" --seed 1 \
+        --seconds 3 --trace 0 | tail -n 1 |
+    python3 -c 'import json, sys
+r = json.loads(sys.stdin.read())
+if not r["correct"] or r["failed"] != 0:
+    sys.exit("magicbench smoke failed: correct=%s failed=%s of %s"
+             % (r["correct"], r["failed"], r["attempted"]))
+print("magicbench smoke: %d queries, all correct" % r["attempted"])'
+done
 
 echo "=== ThreadSanitizer build ==="
 cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \

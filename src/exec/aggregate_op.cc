@@ -166,8 +166,7 @@ Status HashAggregateOp::DispatchRow(ExecContext* ctx, const KeySrc& key_src,
       MAGICDB_RETURN_IF_ERROR(fold(&partial));
       return agg_spill_->AddPartial(partial, ctx);
     }
-    std::vector<int64_t>& chain = group_index_[h];
-    for (int64_t gi : chain) {
+    for (HashTable::EntryId gi : group_index_.Chain(h)) {
       if (key_src.Equals(groups_[gi].key)) {
         group = &groups_[gi];
         break;
@@ -183,7 +182,7 @@ Status HashAggregateOp::DispatchRow(ExecContext* ctx, const KeySrc& key_src,
                                      : ctx->ChargeMemory(group_bytes);
     if (charge.ok()) {
       charged_bytes_ += group_bytes;
-      chain.push_back(static_cast<int64_t>(groups_.size()));
+      group_index_.Insert(h);
       StagedGroup fresh;
       fresh.pos = input_pos;
       fresh.sub = input_sub;
@@ -220,7 +219,7 @@ Status HashAggregateOp::DispatchRow(ExecContext* ctx, const KeySrc& key_src,
 Status HashAggregateOp::Open(ExecContext* ctx) {
   ctx_ = ctx;
   groups_.clear();
-  group_index_.clear();
+  group_index_.Clear();
   next_group_ = 0;
   aggregated_ = false;
   charged_bytes_ = 0;
@@ -383,7 +382,7 @@ Status HashAggregateOp::Open(ExecContext* ctx) {
       MAGICDB_RETURN_IF_ERROR(agg_spill_->FinishInput(ctx));
       MAGICDB_RETURN_IF_ERROR(agg_spill_->BuildOutput(std::move(groups_), ctx));
       groups_.clear();
-      group_index_.clear();
+      group_index_.Clear();
       aggregated_ = true;
       return Status::OK();
     }
@@ -410,6 +409,7 @@ Status HashAggregateOp::Open(ExecContext* ctx) {
           static_cast<double>(groups_.size()), /*exact=*/true,
           /*can_trigger=*/false));
     }
+    group_index_.Clear();  // emission walks groups_ only
     aggregated_ = true;
     return Status::OK();
   }
@@ -431,7 +431,7 @@ Status HashAggregateOp::Open(ExecContext* ctx) {
     shared_->Stage(worker_, std::move(g));
   }
   groups_.clear();
-  group_index_.clear();
+  group_index_.Clear();
   // Barrier with the other replicas, then merge the one partition this
   // worker owns; the merged groups (sorted by first-seen rank) are what
   // Next() emits. The Grace spill charge is settled inside, exactly once.
@@ -508,8 +508,10 @@ Status HashAggregateOp::NextBatch(RowBatch* out, bool* eof) {
 }
 
 Status HashAggregateOp::Close() {
-  groups_.clear();
-  group_index_.clear();
+  // Release, not just empty: a pooled plan instance keeps no group storage
+  // between executions.
+  std::vector<StagedGroup>().swap(groups_);
+  group_index_.Clear();
   agg_spill_.reset();
   if (ctx_ != nullptr) {
     group_reserve_.ReleaseHeadroom(ctx_);

@@ -146,7 +146,8 @@ DistinctOp::DistinctOp(OpPtr child)
 
 Status DistinctOp::Open(ExecContext* ctx) {
   ctx_ = ctx;
-  seen_.clear();
+  seen_index_.Clear();
+  std::vector<Tuple>().swap(seen_rows_);
   return child_->Open(ctx);
 }
 
@@ -158,23 +159,24 @@ Status DistinctOp::Next(Tuple* out, bool* eof) {
     if (*eof) return Status::OK();
     ctx_->counters().hash_operations += 1;
     const uint64_t h = HashTupleColumns(*out, all);
-    std::vector<Tuple>& chain = seen_[h];
     bool duplicate = false;
-    for (const Tuple& t : chain) {
-      if (CompareTuples(t, *out) == 0) {
+    for (HashTable::EntryId id : seen_index_.Chain(h)) {
+      if (CompareTuples(seen_rows_[id], *out) == 0) {
         duplicate = true;
         break;
       }
     }
     if (!duplicate) {
-      chain.push_back(*out);
+      seen_index_.Insert(h);
+      seen_rows_.push_back(*out);
       return Status::OK();
     }
   }
 }
 
 Status DistinctOp::Close() {
-  seen_.clear();
+  seen_index_.Clear();
+  std::vector<Tuple>().swap(seen_rows_);
   return child_->Close();
 }
 

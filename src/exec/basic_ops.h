@@ -3,9 +3,9 @@
 
 #include <memory>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
+#include "src/common/hash_table.h"
 #include "src/exec/operator.h"
 #include "src/expr/expr.h"
 #include "src/spill/external_sorter.h"
@@ -80,7 +80,9 @@ class DistinctOp final : public Operator {
  private:
   OpPtr child_;
   ExecContext* ctx_ = nullptr;
-  std::unordered_map<uint64_t, std::vector<Tuple>> seen_;
+  // Rows emitted so far, in emission order, indexed by hash.
+  HashTable seen_index_;
+  std::vector<Tuple> seen_rows_;
 };
 
 /// Full sort on key expressions. Keys are computed once per tuple; if the

@@ -52,7 +52,7 @@ std::shared_ptr<FilterSetBinding> FilterSetBinding::Exact(
   const std::vector<int> all = IdentityIndexes(
       static_cast<size_t>(b->schema_.num_columns()));
   for (const Tuple& k : b->keys_) {
-    b->exact_set_[HashTupleColumns(k, all)].push_back(k);
+    b->exact_index_.Insert(HashTupleColumns(k, all));
   }
   return b;
 }
@@ -81,11 +81,10 @@ bool FilterSetBinding::MayContain(const Tuple& tuple,
                 schema_.num_columns());
   const uint64_t h = HashTupleColumns(tuple, key_indexes);
   if (bloom_.has_value()) return bloom_->MayContain(h);
-  auto it = exact_set_.find(h);
-  if (it == exact_set_.end()) return false;
+  if (exact_index_.Find(h) == HashTable::kNoEntry) return false;
   Tuple key = ProjectTuple(tuple, key_indexes);
-  for (const Tuple& k : it->second) {
-    if (CompareTuples(k, key) == 0) return true;
+  for (HashTable::EntryId id : exact_index_.Chain(h)) {
+    if (CompareTuples(keys_[id], key) == 0) return true;
   }
   return false;
 }

@@ -7,12 +7,12 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/bloom/bloom_filter.h"
 #include "src/common/cancellation.h"
 #include "src/common/cost_counters.h"
+#include "src/common/hash_table.h"
 #include "src/common/memory_tracker.h"
 #include "src/common/statusor.h"
 #include "src/types/schema.h"
@@ -60,7 +60,7 @@ class FilterSetBinding {
  private:
   Schema schema_;
   std::vector<Tuple> keys_;
-  std::unordered_map<uint64_t, std::vector<Tuple>> exact_set_;
+  HashTable exact_index_;  // indexes keys_ by entry id
   std::optional<BloomFilter> bloom_;
   int64_t num_keys_ = 0;
 };

@@ -79,11 +79,9 @@ Status FilterJoinOp::Open(ExecContext* ctx) {
   if (shared_fj_ != nullptr) return OpenParallel(ctx);
   ctx_ = ctx;
   production_.clear();
-  build_.clear();
+  ReleaseBuild();
   outer_pos_ = 0;
   have_outer_ = false;
-  current_bucket_ = nullptr;
-  bucket_pos_ = 0;
   measured_ = FilterJoinMeasured();
   charged_bytes_ = 0;
   double phase_start = ctx->counters().TotalCost();
@@ -111,8 +109,9 @@ Status FilterJoinOp::Open(ExecContext* ctx) {
   phase_start = ctx->counters().TotalCost();
 
   // Phase 2: ProjCost_F — distinct-project the filter key columns into F
-  // (a subset of the join keys when a partial SIPS was chosen).
-  std::unordered_map<uint64_t, std::vector<Tuple>> distinct;
+  // (a subset of the join keys when a partial SIPS was chosen). `distinct`
+  // indexes `keys` by entry id.
+  HashTable distinct;
   std::vector<Tuple> keys;
   std::vector<int> identity(filter_outer_keys_.size());
   for (size_t i = 0; i < identity.size(); ++i) {
@@ -122,16 +121,16 @@ Status FilterJoinOp::Open(ExecContext* ctx) {
     if (TupleHasNullAt(row, filter_outer_keys_)) continue;
     ctx->counters().hash_operations += 1;
     Tuple key = ProjectTuple(row, filter_outer_keys_);
-    std::vector<Tuple>& chain = distinct[HashTupleColumns(key, identity)];
+    const uint64_t key_hash = HashTupleColumns(key, identity);
     bool dup = false;
-    for (const Tuple& k : chain) {
-      if (CompareTuples(k, key) == 0) {
+    for (HashTable::EntryId id : distinct.Chain(key_hash)) {
+      if (CompareTuples(keys[id], key) == 0) {
         dup = true;
         break;
       }
     }
     if (!dup) {
-      chain.push_back(key);
+      distinct.Insert(key_hash);
       keys.push_back(std::move(key));
     }
   }
@@ -186,7 +185,8 @@ Status FilterJoinOp::Open(ExecContext* ctx) {
     charged_bytes_ += row_bytes;
     ctx->counters().hash_operations += 1;
     build_bytes += row_bytes;
-    build_[HashTupleColumns(t, inner_keys_)].push_back(std::move(t));
+    build_index_.Insert(HashTupleColumns(t, inner_keys_));
+    build_rows_.push_back(std::move(t));
   }
   MAGICDB_RETURN_IF_ERROR(inner_->Close());
   if (!feedback_key_.empty()) {
@@ -218,11 +218,9 @@ Status FilterJoinOp::OpenParallel(ExecContext* ctx) {
   ctx_ = ctx;
   production_.clear();
   production_pos_.clear();
-  build_.clear();
+  ReleaseBuild();
   outer_pos_ = 0;
   have_outer_ = false;
-  current_bucket_ = nullptr;
-  bucket_pos_ = 0;
   measured_ = FilterJoinMeasured();
   last_filter_set_size_ = 0;
   charged_bytes_ = 0;
@@ -309,7 +307,6 @@ Status FilterJoinOp::OpenParallel(ExecContext* ctx) {
     phase_start = ctx->counters().TotalCost();
 
     // Phase 3: restricted inner, built into the shared final-join table.
-    auto* shared_build = shared_fj_->mutable_inner_build();
     Status inner_status = inner_->Open(ctx);
     int64_t build_bytes = 0;
     int64_t inner_rows = 0;
@@ -328,8 +325,8 @@ Status FilterJoinOp::OpenParallel(ExecContext* ctx) {
       charged_bytes_ += row_bytes;
       ctx->counters().hash_operations += 1;
       build_bytes += row_bytes;
-      (*shared_build)[HashTupleColumns(t, inner_keys_)].push_back(
-          std::move(t));
+      const uint64_t hash = HashTupleColumns(t, inner_keys_);
+      shared_fj_->AddInnerRow(hash, std::move(t));
     }
     if (inner_status.ok()) inner_status = inner_->Close();
     if (!inner_status.ok()) {
@@ -392,20 +389,18 @@ Status FilterJoinOp::Next(Tuple* out, bool* eof) {
       ctx_->counters().tuples_processed += 1;
       have_outer_ = true;
       if (TupleHasNullAt(current_outer_, outer_keys_)) {
-        current_bucket_ = nullptr;
-        bucket_pos_ = 0;
+        current_chain_ = HashChain<Tuple>();
         continue;
       }
       ctx_->counters().hash_operations += 1;
-      const auto& table =
-          shared_fj_ != nullptr ? shared_fj_->inner_build() : build_;
-      auto it = table.find(HashTupleColumns(current_outer_, outer_keys_));
-      current_bucket_ = it == table.end() ? nullptr : &it->second;
-      bucket_pos_ = 0;
+      const uint64_t hash = HashTupleColumns(current_outer_, outer_keys_);
+      current_chain_ = shared_fj_ != nullptr
+                           ? shared_fj_->ProbeInner(hash)
+                           : HashChain<Tuple>(build_index_, build_rows_, hash);
     }
-    while (current_bucket_ != nullptr &&
-           bucket_pos_ < current_bucket_->size()) {
-      const Tuple& inner_row = (*current_bucket_)[bucket_pos_++];
+    while (!current_chain_.done()) {
+      const Tuple& inner_row = *current_chain_;
+      current_chain_.Advance();
       if (CompareTupleColumns(current_outer_, inner_row, outer_keys_,
                               inner_keys_) != 0) {
         continue;
@@ -431,8 +426,14 @@ Status FilterJoinOp::Close() {
   }
   production_.clear();
   production_pos_.clear();
-  build_.clear();
+  ReleaseBuild();
   return Status::OK();
+}
+
+void FilterJoinOp::ReleaseBuild() {
+  current_chain_ = HashChain<Tuple>();
+  build_index_.Clear();
+  std::vector<Tuple>().swap(build_rows_);
 }
 
 const FilterJoinOp* FindFilterJoin(const Operator& root) {

@@ -4,9 +4,9 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "src/common/hash_table.h"
 #include "src/exec/operator.h"
 #include "src/exec/scan_ops.h"
 #include "src/expr/expr.h"
@@ -136,6 +136,8 @@ class FilterJoinOp final : public Operator {
 
  private:
   Status OpenParallel(ExecContext* ctx);
+  /// Drops the final-join table and releases its storage.
+  void ReleaseBuild();
 
   OpPtr outer_;
   OpPtr inner_;
@@ -150,10 +152,12 @@ class FilterJoinOp final : public Operator {
 
   ExecContext* ctx_ = nullptr;
   std::vector<Tuple> production_;  // materialized P
-  std::unordered_map<uint64_t, std::vector<Tuple>> build_;  // on R_k'
+  // Final-join table on R_k' (sequential mode): rows in arrival order,
+  // indexed by key hash.
+  HashTable build_index_;
+  std::vector<Tuple> build_rows_;
   size_t outer_pos_ = 0;
-  const std::vector<Tuple>* current_bucket_ = nullptr;
-  size_t bucket_pos_ = 0;
+  HashChain<Tuple> current_chain_;
   bool have_outer_ = false;
   Tuple current_outer_;
   int64_t last_filter_set_size_ = 0;

@@ -31,7 +31,7 @@ FunctionProbeJoinOp::FunctionProbeJoinOp(OpPtr outer,
 
 Status FunctionProbeJoinOp::Open(ExecContext* ctx) {
   ctx_ = ctx;
-  memo_.clear();
+  ReleaseMemo();
   have_outer_ = false;
   cache_hits_ = 0;
   result_pos_ = 0;
@@ -58,13 +58,10 @@ Status FunctionProbeJoinOp::Next(Tuple* out, bool* eof) {
       if (memoize_) {
         ctx_->counters().hash_operations += 1;
         h = HashTupleColumns(args, arg_identity);
-        auto it = memo_.find(h);
-        if (it != memo_.end()) {
-          for (const auto& [key, rows] : it->second) {
-            if (CompareTuples(key, args) == 0) {
-              cached = &rows;
-              break;
-            }
+        for (HashTable::EntryId id : memo_index_.Chain(h)) {
+          if (CompareTuples(memo_[id].args, args) == 0) {
+            cached = &memo_[id].rows;
+            break;
           }
         }
       }
@@ -80,7 +77,8 @@ Status FunctionProbeJoinOp::Next(Tuple* out, bool* eof) {
           current_results_.push_back(ConcatTuples(args, r));
         }
         if (memoize_) {
-          memo_[h].emplace_back(std::move(args), current_results_);
+          memo_index_.Insert(h);
+          memo_.push_back(MemoEntry{std::move(args), current_results_});
         }
       }
     }
@@ -101,8 +99,13 @@ Status FunctionProbeJoinOp::Next(Tuple* out, bool* eof) {
 }
 
 Status FunctionProbeJoinOp::Close() {
-  memo_.clear();
+  ReleaseMemo();
   return outer_->Close();
+}
+
+void FunctionProbeJoinOp::ReleaseMemo() {
+  memo_index_.Clear();
+  std::vector<MemoEntry>().swap(memo_);
 }
 
 std::string FunctionProbeJoinOp::Describe() const {

@@ -2,9 +2,9 @@
 #define MAGICDB_EXEC_FUNCTION_OPS_H_
 
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "src/common/hash_table.h"
 #include "src/exec/operator.h"
 #include "src/expr/expr.h"
 #include "src/udr/table_function.h"
@@ -34,15 +34,24 @@ class FunctionProbeJoinOp final : public Operator {
   int64_t cache_hits() const { return cache_hits_; }
 
  private:
+  /// Drops the memo cache and releases its storage.
+  void ReleaseMemo();
+
   OpPtr outer_;
   const TableFunction* function_;
   std::vector<int> outer_arg_indexes_;
   ExprPtr residual_;
   bool memoize_;
 
+  struct MemoEntry {
+    Tuple args;
+    std::vector<Tuple> rows;  // args ++ results
+  };
+
   ExecContext* ctx_ = nullptr;
-  std::unordered_map<uint64_t, std::vector<std::pair<Tuple, std::vector<Tuple>>>>
-      memo_;
+  // Memoized invocations in first-call order, indexed by argument hash.
+  HashTable memo_index_;
+  std::vector<MemoEntry> memo_;
   Tuple current_outer_;
   std::vector<Tuple> current_results_;  // function rows (args ++ results)
   size_t result_pos_ = 0;

@@ -201,26 +201,26 @@ Status HashJoinOp::AddBuildTuple(Tuple t, int64_t stage_pos,
                                              outer_keys_, inner_keys_,
                                              residual_.get());
     MAGICDB_RETURN_IF_ERROR(
-        grace_->BeginBuildSpill(ctx_, &build_, &charged_bytes_));
+        grace_->BeginBuildSpill(ctx_, &build_rows_, &charged_bytes_));
+    build_index_.Clear();
     *build_bytes = 0;
     return grace_->AddBuildRow(hash, t, ctx_);
   }
   charged_bytes_ += row_bytes;
+  *build_bytes += row_bytes;
   if (shared_build_ != nullptr) {
     shared_build_->Stage(worker_, stage_pos, hash, std::move(t));
     return Status::OK();
   }
-  *build_bytes += row_bytes;
-  build_[hash].push_back(std::move(t));
+  build_index_.Insert(hash);
+  build_rows_.push_back(std::move(t));
   return Status::OK();
 }
 
 Status HashJoinOp::Open(ExecContext* ctx) {
   ctx_ = ctx;
-  build_.clear();
+  ReleaseBuild();
   have_outer_ = false;
-  current_bucket_ = nullptr;
-  bucket_pos_ = 0;
   spilled_ = false;
   spill_passes_ = 1;
   probe_bytes_pending_ = 0;
@@ -305,8 +305,8 @@ Status HashJoinOp::Open(ExecContext* ctx) {
   }
   if (shared_build_ != nullptr) {
     // Contribute this replica's slice before the FinishStaging barrier so
-    // every replica reads the complete total afterwards.
-    shared_build_->AddBuildRows(build_rows);
+    // every replica reads the complete totals afterwards.
+    shared_build_->AddBuildSlice(build_rows, build_bytes);
     // Barrier + partition assembly; global spill accounting happens inside
     // (charged once, not once per replica).
     MAGICDB_RETURN_IF_ERROR(shared_build_->FinishStaging(worker_, ctx));
@@ -380,23 +380,16 @@ Status HashJoinOp::Next(Tuple* out, bool* eof) {
         }
       }
       if (TupleHasNullAt(current_outer_, outer_keys_)) {
-        current_bucket_ = nullptr;  // NULL keys never join
-        bucket_pos_ = 0;
+        current_chain_ = HashChain<Tuple>();  // NULL keys never join
         continue;
       }
       ctx_->counters().hash_operations += 1;
-      const uint64_t hash = HashTupleColumns(current_outer_, outer_keys_);
-      if (shared_build_ != nullptr) {
-        current_bucket_ = shared_build_->Probe(hash);
-      } else {
-        auto it = build_.find(hash);
-        current_bucket_ = it == build_.end() ? nullptr : &it->second;
-      }
-      bucket_pos_ = 0;
+      current_chain_ =
+          ProbeBuild(HashTupleColumns(current_outer_, outer_keys_));
     }
-    while (current_bucket_ != nullptr &&
-           bucket_pos_ < current_bucket_->size()) {
-      const Tuple& inner_row = (*current_bucket_)[bucket_pos_++];
+    while (!current_chain_.done()) {
+      const Tuple& inner_row = *current_chain_;
+      current_chain_.Advance();
       // Verify key equality (hash collisions).
       if (CompareTupleColumns(current_outer_, inner_row, outer_keys_,
                               inner_keys_) != 0) {
@@ -479,24 +472,18 @@ Status HashJoinOp::NextBatch(RowBatch* out, bool* eof) {
           ++probe_sel_idx_;
           continue;  // NULL keys never join
         }
-        const uint64_t hash = probe_hashes_[static_cast<size_t>(r)];
-        if (shared_build_ != nullptr) {
-          current_bucket_ = shared_build_->Probe(hash);
-        } else {
-          auto it = build_.find(hash);
-          current_bucket_ = it == build_.end() ? nullptr : &it->second;
-        }
-        if (current_bucket_ == nullptr || current_bucket_->empty()) {
+        current_chain_ = ProbeBuild(probe_hashes_[static_cast<size_t>(r)]);
+        if (current_chain_.done()) {
           ++probe_sel_idx_;
           continue;
         }
         probe_batch_->MoveRowToTuple(r, &current_outer_);
         have_outer_ = true;
-        bucket_pos_ = 0;
       }
-      while (bucket_pos_ < current_bucket_->size()) {
-        if (out->full()) return Status::OK();  // resume mid-bucket next call
-        const Tuple& inner_row = (*current_bucket_)[bucket_pos_++];
+      while (!current_chain_.done()) {
+        if (out->full()) return Status::OK();  // resume mid-chain next call
+        const Tuple& inner_row = *current_chain_;
+        current_chain_.Advance();
         // Verify key equality (hash collisions).
         if (CompareTupleColumns(current_outer_, inner_row, outer_keys_,
                                 inner_keys_) != 0) {
@@ -530,8 +517,19 @@ Status HashJoinOp::NextBatch(RowBatch* out, bool* eof) {
   }
 }
 
+HashChain<Tuple> HashJoinOp::ProbeBuild(uint64_t hash) const {
+  if (shared_build_ != nullptr) return shared_build_->Probe(hash);
+  return HashChain<Tuple>(build_index_, build_rows_, hash);
+}
+
+void HashJoinOp::ReleaseBuild() {
+  current_chain_ = HashChain<Tuple>();
+  build_index_.Clear();
+  std::vector<Tuple>().swap(build_rows_);
+}
+
 Status HashJoinOp::Close() {
-  build_.clear();
+  ReleaseBuild();
   grace_.reset();
   if (ctx_ != nullptr) {
     build_reserve_.ReleaseHeadroom(ctx_);

@@ -3,9 +3,9 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "src/common/hash_table.h"
 #include "src/exec/operator.h"
 #include "src/exec/scan_ops.h"
 #include "src/expr/expr.h"
@@ -140,16 +140,27 @@ class HashJoinOp final : public Operator {
   Status AddBuildTuple(Tuple t, int64_t stage_pos, int64_t* build_bytes,
                        bool coalesce_charges);
 
+  /// The build rows with key hash `hash`, from the shared partitioned
+  /// build or the private table.
+  HashChain<Tuple> ProbeBuild(uint64_t hash) const;
+
+  /// Drops the private build table and releases its storage, so a pooled
+  /// plan instance holds no hash storage between executions.
+  void ReleaseBuild();
+
   OpPtr outer_;
   OpPtr inner_;
   std::vector<int> outer_keys_;
   std::vector<int> inner_keys_;
   ExprPtr residual_;
   ExecContext* ctx_ = nullptr;
-  std::unordered_map<uint64_t, std::vector<Tuple>> build_;
+  // Private build table: rows in arrival order, indexed by key hash.
+  HashTable build_index_;
+  std::vector<Tuple> build_rows_;
   Tuple current_outer_;
-  const std::vector<Tuple>* current_bucket_ = nullptr;
-  size_t bucket_pos_ = 0;
+  // Remaining build rows of the current outer row's hash (private or
+  // shared build).
+  HashChain<Tuple> current_chain_;
   bool have_outer_ = false;
   // Grace partitioning accounting: when the build side exceeds the memory
   // budget, both inputs pay the predicted number of write+read partitioning

@@ -5,6 +5,7 @@
 
 #include "src/common/cost_counters.h"
 #include "src/common/failpoint.h"
+#include "src/common/hash_table.h"
 #include "src/common/logging.h"
 #include "src/exec/exec_context.h"
 
@@ -54,18 +55,17 @@ Status SharedAggregate::MergeOwnPartition(int worker, ExecContext* ctx,
             });
   merged->clear();
   merged->reserve(staged.size());
-  std::unordered_map<uint64_t, std::vector<size_t>> index;
+  HashTable index;  // indexes `merged` by entry id
   for (StagedGroup& g : staged) {
-    std::vector<size_t>& chain = index[g.hash];
     StagedGroup* into = nullptr;
-    for (size_t gi : chain) {
+    for (HashTable::EntryId gi : index.Chain(g.hash)) {
       if (CompareTuples((*merged)[gi].key, g.key) == 0) {
         into = &(*merged)[gi];
         break;
       }
     }
     if (into == nullptr) {
-      chain.push_back(merged->size());
+      index.Insert(g.hash);
       merged->push_back(std::move(g));
       continue;
     }

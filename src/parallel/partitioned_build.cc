@@ -52,8 +52,6 @@ SharedHashBuild::SharedHashBuild(int num_workers, int64_t memory_budget_bytes)
 void SharedHashBuild::Stage(int worker, int64_t pos, uint64_t hash,
                             Tuple row) {
   const int partition = static_cast<int>(hash % num_workers_);
-  total_build_bytes_.fetch_add(TupleByteWidth(row),
-                               std::memory_order_relaxed);
   staging_[worker][partition].push_back({pos, hash, std::move(row)});
 }
 
@@ -72,9 +70,11 @@ Status SharedHashBuild::FinishStaging(int worker, ExecContext* ctx) {
   }
   std::sort(rows.begin(), rows.end(),
             [](const StagedRow& a, const StagedRow& b) { return a.pos < b.pos; });
-  auto& table = partitions_[worker];
+  Partition& partition = partitions_[worker];
+  partition.rows.reserve(rows.size());
   for (StagedRow& r : rows) {
-    table[r.hash].push_back(std::move(r.row));
+    partition.index.Insert(r.hash);
+    partition.rows.push_back(std::move(r.row));
   }
   if (worker == 0) {
     // Grace spill decision on the *global* build size, charged exactly once
@@ -97,12 +97,6 @@ Status SharedHashBuild::FinishStaging(int worker, ExecContext* ctx) {
     }
   }
   return built_barrier_.ArriveAndWait();
-}
-
-const std::vector<Tuple>* SharedHashBuild::Probe(uint64_t hash) const {
-  const auto& table = partitions_[hash % num_workers_];
-  auto it = table.find(hash);
-  return it == table.end() ? nullptr : &it->second;
 }
 
 void SharedHashBuild::ChargeProbeBytes(ExecContext* ctx, int64_t bytes) {
@@ -163,21 +157,20 @@ Status SharedFilterJoin::DedupPartition(int worker) {
   // the order a single-threaded distinct projection emits keys.
   std::sort(rows.begin(), rows.end(),
             [](const StagedRow& a, const StagedRow& b) { return a.pos < b.pos; });
-  std::unordered_map<uint64_t, std::vector<const Tuple*>> seen;
+  // `seen` indexes the surviving keys in `out` by entry id.
+  HashTable seen;
   std::vector<StagedRow>& out = deduped_[worker];
-  out.reserve(rows.size());  // pointers into `out` must stay stable below
   for (StagedRow& r : rows) {
-    std::vector<const Tuple*>& chain = seen[r.hash];
     bool dup = false;
-    for (const Tuple* k : chain) {
-      if (CompareTuples(*k, r.row) == 0) {
+    for (HashTable::EntryId id : seen.Chain(r.hash)) {
+      if (CompareTuples(out[id].row, r.row) == 0) {
         dup = true;
         break;
       }
     }
     if (dup) continue;
+    seen.Insert(r.hash);
     out.push_back(std::move(r));
-    chain.push_back(&out.back().row);
   }
   return deduped_barrier_.ArriveAndWait();
 }

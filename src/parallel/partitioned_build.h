@@ -6,10 +6,10 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "src/common/hash_table.h"
 #include "src/common/status.h"
 #include "src/types/tuple.h"
 
@@ -55,8 +55,9 @@ struct StagedRow {
 /// (HashJoinOp::EnableSharedBuild). Protocol, executed identically by all
 /// `num_workers` pipeline replicas:
 ///
-///   1. each worker drains its (morsel-driven) slice of the build input and
-///      Stage()s every row into the partition its key hash selects;
+///   1. each worker drains its (morsel-driven) slice of the build input,
+///      Stage()s every row into the partition its key hash selects, and
+///      adds its slice's row and byte tallies once (AddBuildSlice);
 ///   2. FinishStaging(): barrier; then each worker builds the hash table of
 ///      the one partition it owns (sorting staged rows by scan position);
 ///      worker 0 charges the Grace-spill pass once if the global build
@@ -77,26 +78,31 @@ class SharedHashBuild {
   /// per-(worker, partition) buffers, so no contention on a shared bucket).
   void Stage(int worker, int64_t pos, uint64_t hash, Tuple row);
 
-  /// Phase 2: barrier with the other workers, build own partition, settle
-  /// global spill accounting (worker 0 charges `ctx`), barrier again.
-  Status FinishStaging(int worker, ExecContext* ctx);
-
-  /// Phase 3: bucket lookup for a probe key hash; nullptr when empty.
-  /// Only valid after FinishStaging returned OK.
-  const std::vector<Tuple>* Probe(uint64_t hash) const;
-
-  bool spilled() const { return spilled_; }
-
-  /// Cardinality feedback: each worker contributes its drained build-input
-  /// slice *before* the FinishStaging barrier; afterwards every worker
-  /// reads the same gang-wide total, so trigger decisions are identical
+  /// Each worker contributes its drained build-input slice — rows (before
+  /// the NULL-key skip) and staged bytes — once, *before* the FinishStaging
+  /// barrier; afterwards every worker reads the same gang-wide totals, so
+  /// the spill decision and cardinality-feedback triggers are identical
   /// across the gang and DoP-invariant.
-  void AddBuildRows(int64_t rows) {
+  void AddBuildSlice(int64_t rows, int64_t bytes) {
     total_build_rows_.fetch_add(rows, std::memory_order_relaxed);
+    total_build_bytes_.fetch_add(bytes, std::memory_order_relaxed);
   }
   int64_t total_build_rows() const {
     return total_build_rows_.load(std::memory_order_relaxed);
   }
+
+  /// Phase 2: barrier with the other workers, build own partition, settle
+  /// global spill accounting (worker 0 charges `ctx`), barrier again.
+  Status FinishStaging(int worker, ExecContext* ctx);
+
+  /// Phase 3: the build rows with key hash `hash`, in build-input order.
+  /// Only valid after FinishStaging returned OK.
+  HashChain<Tuple> Probe(uint64_t hash) const {
+    const Partition& p = partitions_[hash % num_workers_];
+    return HashChain<Tuple>(p.index, p.rows, hash);
+  }
+
+  bool spilled() const { return spilled_; }
 
   /// Exact global Grace probe-side accounting: charges `ctx` one page
   /// write+read for every page boundary the cumulative probe byte stream
@@ -109,10 +115,14 @@ class SharedHashBuild {
  private:
   const int num_workers_;
   const int64_t memory_budget_bytes_;
+  struct Partition {
+    HashTable index;
+    std::vector<Tuple> rows;
+  };
   // staging_[worker][partition]
   std::vector<std::vector<std::vector<StagedRow>>> staging_;
-  // partitions_[partition]: hash -> bucket, built by the owning worker.
-  std::vector<std::unordered_map<uint64_t, std::vector<Tuple>>> partitions_;
+  // partitions_[partition]: built by the owning worker.
+  std::vector<Partition> partitions_;
   std::atomic<int64_t> total_build_bytes_{0};
   std::atomic<int64_t> total_build_rows_{0};
   std::atomic<int64_t> probe_bytes_{0};
@@ -160,13 +170,15 @@ class SharedFilterJoin {
 
   /// The final-join hash table over the restricted inner R_k'. The shared
   /// object owns it so that no worker's Close can free it while another
-  /// worker is still probing. The coordinator fills it (single writer),
-  /// then everyone meets at InnerBarrier; afterwards it is read-only.
-  std::unordered_map<uint64_t, std::vector<Tuple>>* mutable_inner_build() {
-    return &inner_build_;
+  /// worker is still probing. The coordinator fills it (single writer,
+  /// AddInnerRow), then everyone meets at InnerBarrier; afterwards it is
+  /// read-only (ProbeInner).
+  void AddInnerRow(uint64_t hash, Tuple row) {
+    inner_index_.Insert(hash);
+    inner_rows_.push_back(std::move(row));
   }
-  const std::unordered_map<uint64_t, std::vector<Tuple>>& inner_build() const {
-    return inner_build_;
+  HashChain<Tuple> ProbeInner(uint64_t hash) const {
+    return HashChain<Tuple>(inner_index_, inner_rows_, hash);
   }
 
   /// Coordinator arrives after filling the inner build; workers arrive to
@@ -183,7 +195,8 @@ class SharedFilterJoin {
   std::vector<std::vector<StagedRow>> deduped_;
   std::atomic<int64_t> total_production_rows_{0};
   std::atomic<int64_t> total_production_bytes_{0};
-  std::unordered_map<uint64_t, std::vector<Tuple>> inner_build_;
+  HashTable inner_index_;
+  std::vector<Tuple> inner_rows_;
   CancellableBarrier staged_barrier_;
   CancellableBarrier deduped_barrier_;
   CancellableBarrier inner_barrier_;

@@ -27,10 +27,9 @@ Status AggSpill::Start(ExecContext* /*ctx*/) {
   return Status::OK();
 }
 
-Status AggSpill::EvictNextPartition(
-    std::vector<StagedGroup>* groups,
-    std::unordered_map<uint64_t, std::vector<int64_t>>* index,
-    int64_t* charged_bytes, ExecContext* ctx) {
+Status AggSpill::EvictNextPartition(std::vector<StagedGroup>* groups,
+                                     HashTable* index, int64_t* charged_bytes,
+                                     ExecContext* ctx) {
   MAGICDB_CHECK(!AllSpilled());
   // Pick victims and release their accounting first. The first eviction
   // keeps taking partitions until the freed bytes cover the partition
@@ -68,10 +67,8 @@ Status AggSpill::EvictNextPartition(
     }
   }
   groups->swap(kept);
-  index->clear();
-  for (size_t i = 0; i < groups->size(); ++i) {
-    (*index)[(*groups)[i].hash].push_back(static_cast<int64_t>(i));
-  }
+  index->Clear();
+  for (const StagedGroup& g : *groups) index->Insert(g.hash);
   return Status::OK();
 }
 
@@ -124,7 +121,7 @@ Status AggSpill::ProcessTask(Task task, std::vector<Task>* stack,
       task_reservation.Acquire(ctx, 2 * mgr_->config().batch_bytes));
 
   std::vector<StagedGroup> groups;
-  std::unordered_map<uint64_t, std::vector<int64_t>> index;
+  HashTable index;  // indexes `groups` by entry id
   int64_t charged = 0;
   MAGICDB_RETURN_IF_ERROR(task.file->Rewind());
   int64_t loop = 0;
@@ -149,7 +146,7 @@ Status AggSpill::ProcessTask(Task task, std::vector<Task>* stack,
     }
     if (!status.ok()) break;
     StagedGroup* group = nullptr;
-    for (int64_t gi : index[partial.hash]) {
+    for (HashTable::EntryId gi : index.Chain(partial.hash)) {
       if (CompareTuples(groups[gi].key, partial.key) == 0) {
         group = &groups[gi];
         break;
@@ -164,7 +161,7 @@ Status AggSpill::ProcessTask(Task task, std::vector<Task>* stack,
         return Repartition(std::move(task), stack, ctx);
       }
       charged += group_bytes;
-      index[partial.hash].push_back(static_cast<int64_t>(groups.size()));
+      index.Insert(partial.hash);
       groups.push_back(std::move(partial));
       continue;
     }

@@ -1,5 +1,6 @@
 #include "src/spill/grace_hash_join.h"
 
+#include "src/common/hash_table.h"
 #include "src/common/logging.h"
 #include "src/exec/exec_context.h"
 #include "src/expr/expr.h"
@@ -15,9 +16,9 @@ GraceHashJoin::GraceHashJoin(std::shared_ptr<SpillManager> mgr,
       inner_keys_(std::move(inner_keys)),
       residual_(residual) {}
 
-Status GraceHashJoin::BeginBuildSpill(
-    ExecContext* ctx, std::unordered_map<uint64_t, std::vector<Tuple>>* table,
-    int64_t* charged_bytes) {
+Status GraceHashJoin::BeginBuildSpill(ExecContext* ctx,
+                                      std::vector<Tuple>* rows,
+                                      int64_t* charged_bytes) {
   // The tracker is full at the instant the build breaches, so hand the
   // table's charge back before reserving the partition write buffers: the
   // rows are leaving memory as the dump below proceeds, and the buffers
@@ -27,17 +28,14 @@ Status GraceHashJoin::BeginBuildSpill(
   build_set_ =
       std::make_unique<SpillPartitionSet>(mgr_.get(), "join-build", 0);
   MAGICDB_RETURN_IF_ERROR(build_set_->Reserve(ctx));
-  // Bucket-by-bucket dump: rows of one hash stay in arrival order, which is
-  // what makes each rebuilt bucket identical to its in-memory counterpart.
-  for (const auto& [hash, bucket] : *table) {
-    for (const Tuple& row : bucket) {
-      scratch_.clear();
-      spill::AppendU64(&scratch_, hash);
-      spill::AppendTuple(&scratch_, row);
-      MAGICDB_RETURN_IF_ERROR(build_set_->Add(hash, scratch_, ctx));
-    }
+  // Arrival-order dump: rows of one hash stay in arrival order, which is
+  // what makes each rebuilt hash chain identical to its in-memory
+  // counterpart.
+  for (const Tuple& row : *rows) {
+    MAGICDB_RETURN_IF_ERROR(
+        AddBuildRow(HashTupleColumns(row, inner_keys_), row, ctx));
   }
-  table->clear();
+  std::vector<Tuple>().swap(*rows);
   return Status::OK();
 }
 
@@ -114,7 +112,8 @@ Status GraceHashJoin::ProcessTask(Task task, std::vector<Task>* stack,
       task_reservation.Acquire(ctx, 3 * mgr_->config().batch_bytes));
 
   // Load the build partition into a charged in-memory table.
-  std::unordered_map<uint64_t, std::vector<Tuple>> table;
+  HashTable index;
+  std::vector<Tuple> rows;
   int64_t charged = 0;
   MAGICDB_RETURN_IF_ERROR(task.build->Rewind());
   int64_t loop = 0;
@@ -135,12 +134,14 @@ Status GraceHashJoin::ProcessTask(Task task, std::vector<Task>* stack,
     Status charge = ctx->ChargeMemory(row_bytes);
     if (!charge.ok()) {
       ctx->ReleaseMemory(charged);
-      table.clear();
+      index.Clear();
+      std::vector<Tuple>().swap(rows);
       if (charge.code() != StatusCode::kResourceExhausted) return charge;
       return Repartition(std::move(task), stack, ctx);
     }
     charged += row_bytes;
-    table[hash].push_back(std::move(row));
+    index.Insert(hash);
+    rows.push_back(std::move(row));
   }
 
   // Stream the probe partition against the loaded table, emitting matches
@@ -165,9 +166,8 @@ Status GraceHashJoin::ProcessTask(Task task, std::vector<Task>* stack,
     if (status.ok()) status = reader.ReadI64(&seq);
     if (status.ok()) status = reader.ReadTuple(&row);
     if (!status.ok()) break;
-    auto it = table.find(hash);
-    if (it == table.end()) continue;
-    for (const Tuple& build_row : it->second) {
+    for (HashTable::EntryId id : index.Chain(hash)) {
+      const Tuple& build_row = rows[id];
       if (CompareTupleColumns(row, build_row, outer_keys_, inner_keys_) != 0) {
         continue;  // hash collision
       }

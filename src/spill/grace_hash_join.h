@@ -7,7 +7,7 @@
 ///
 /// Protocol (driven by HashJoinOp):
 ///   1. BeginBuildSpill() — the moment the in-memory build table breaches,
-///      its rows are dumped bucket-by-bucket into a fanout-way partition
+///      its rows are dumped in arrival order into a fanout-way partition
 ///      set and their memory is released; every later build row goes
 ///      straight to its partition (AddBuildRow).
 ///   2. FinishBuild() seals the build partitions.
@@ -23,9 +23,9 @@
 ///      recursion bound.
 ///   5. NextOutput() merges the output runs by probe sequence number.
 ///
-/// Determinism: rows of one hash bucket are dumped and reloaded in their
-/// original arrival order, so each rebuilt bucket matches the in-memory
-/// bucket exactly; each probe row lives in exactly one leaf partition, so
+/// Determinism: rows of one hash are dumped and reloaded in their original
+/// arrival order, so each rebuilt hash chain matches the in-memory chain
+/// exactly; each probe row lives in exactly one leaf partition, so
 /// its matches land contiguously in one run; merging runs by the strictly
 /// increasing probe sequence reproduces the in-memory output order
 /// byte-for-byte.
@@ -33,7 +33,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/statusor.h"
@@ -52,12 +51,11 @@ class GraceHashJoin {
   GraceHashJoin(std::shared_ptr<SpillManager> mgr, std::vector<int> outer_keys,
                 std::vector<int> inner_keys, const Expr* residual);
 
-  /// Dumps the breached in-memory build table to partitions, releasing its
-  /// `*charged_bytes` from the tracker and clearing the table.
-  Status BeginBuildSpill(
-      ExecContext* ctx,
-      std::unordered_map<uint64_t, std::vector<Tuple>>* table,
-      int64_t* charged_bytes);
+  /// Dumps the breached in-memory build rows (in arrival order) to
+  /// partitions, releasing their `*charged_bytes` from the tracker and their
+  /// storage. The caller drops its index over `rows`.
+  Status BeginBuildSpill(ExecContext* ctx, std::vector<Tuple>* rows,
+                         int64_t* charged_bytes);
 
   Status AddBuildRow(uint64_t hash, const Tuple& row, ExecContext* ctx);
   Status FinishBuild(ExecContext* ctx);

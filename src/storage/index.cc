@@ -9,16 +9,15 @@ namespace magicdb {
 void HashIndex::Insert(const Tuple& row, int64_t row_id) {
   Tuple key = ProjectTuple(row, columns_);
   const uint64_t h = HashTupleColumns(row, columns_);
-  std::vector<Entry>& chain = buckets_[h];
-  for (Entry& e : chain) {
-    if (CompareTuples(e.key, key) == 0) {
-      e.row_ids.push_back(row_id);
-      ++num_entries_;
+  ++num_entries_;
+  for (HashTable::EntryId id : key_index_.Chain(h)) {
+    if (CompareTuples(keys_[id].key, key) == 0) {
+      keys_[id].row_ids.push_back(row_id);
       return;
     }
   }
-  chain.push_back(Entry{std::move(key), {row_id}});
-  ++num_entries_;
+  key_index_.Insert(h);
+  keys_.push_back(Entry{std::move(key), {row_id}});
 }
 
 std::vector<int64_t> HashIndex::Lookup(const Tuple& key) const {
@@ -26,10 +25,8 @@ std::vector<int64_t> HashIndex::Lookup(const Tuple& key) const {
   std::vector<int> identity(key.size());
   for (size_t i = 0; i < key.size(); ++i) identity[i] = static_cast<int>(i);
   const uint64_t h = HashTupleColumns(key, identity);
-  auto it = buckets_.find(h);
-  if (it == buckets_.end()) return {};
-  for (const Entry& e : it->second) {
-    if (CompareTuples(e.key, key) == 0) return e.row_ids;
+  for (HashTable::EntryId id : key_index_.Chain(h)) {
+    if (CompareTuples(keys_[id].key, key) == 0) return keys_[id].row_ids;
   }
   return {};
 }

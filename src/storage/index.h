@@ -3,14 +3,14 @@
 
 #include <cstdint>
 #include <map>
-#include <unordered_map>
 #include <vector>
 
+#include "src/common/hash_table.h"
 #include "src/types/tuple.h"
 
 namespace magicdb {
 
-/// Equality index: key columns -> row ids. Backed by a chained hash table;
+/// Equality index: key columns -> row ids. Backed by a HashTable;
 /// collisions are resolved by comparing key values, so lookups are exact.
 class HashIndex {
  public:
@@ -34,7 +34,9 @@ class HashIndex {
   };
 
   std::vector<int> columns_;
-  std::unordered_map<uint64_t, std::vector<Entry>> buckets_;
+  // One entry per distinct key, in first-insert order, indexed by key hash.
+  HashTable key_index_;
+  std::vector<Entry> keys_;
   int64_t num_entries_ = 0;
 };
 

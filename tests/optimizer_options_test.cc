@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "src/common/logging.h"
 #include "src/common/random.h"
 #include "src/db/database.h"
@@ -40,6 +42,12 @@ struct MethodToggle {
   const char* marker;     // Describe() substring that must disappear
   void (*disable)(OptimizerOptions*);
 };
+
+// gtest and CTest name each case by its printed value; the default would
+// print the struct's bytes, which hold pointers and change with every run.
+void PrintTo(const MethodToggle& toggle, std::ostream* os) {
+  *os << toggle.name;
+}
 
 class MethodToggleTest : public ::testing::TestWithParam<MethodToggle> {};
 

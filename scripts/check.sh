@@ -21,7 +21,7 @@
 # benchmark, magicbench/run.py) for 3 s at seed 1 and fails unless every
 # query is correct and none failed.
 # Every build also smoke-runs bench_server_throughput, whose closed-loop and
-# streaming-cursor sections assert byte-identity against Database::Query and
+# streaming-cursor sections assert byte-identity against Database::Run and
 # the cursor queue's bounded-memory contract while racing sessions on the
 # shared pool.
 #
@@ -42,7 +42,9 @@
 # with perturbed spill-I/O timing; results must stay byte-identical and
 # ASan must see no lifetime bugs in the spill readers/writers. Tests that
 # pin their own limit or spill dir are unaffected (explicit options win
-# over the environment).
+# over the environment). The Release low-memory sweep runs twice, the second
+# time with re-optimization forced aggressive, so re-planning and the
+# degrade-to-sequential-spill path meet in one run.
 #
 # An overload chaos sweep then reruns the overload suite (and the exact-count
 # server stress test) inside the Release and TSAN failpoint builds with a
@@ -180,6 +182,14 @@ cmake --build build-chaos -j "${JOBS}"
 
 echo "=== Low-memory chaos sweep (Release + failpoints, full suite) ==="
 env "${LOWMEM_ENV[@]}" ./build-chaos/tests/magicdb_tests
+
+# The query driver is where re-planning meets the memory-pressure degrade
+# (a gang that cannot spill reruns sequentially, re-planned under the
+# attempt's overlay): rerun the low-memory sweep with re-optimization forced
+# maximally aggressive so both paths are exercised together.
+echo "=== Low-memory chaos sweep, re-optimization forced aggressive (Release + failpoints, full suite) ==="
+env "${LOWMEM_ENV[@]}" MAGICDB_TEST_REOPT_QERROR=1.0 \
+  ./build-chaos/tests/magicdb_tests
 
 echo "=== Overload chaos sweep (Release + failpoints) ==="
 env "${OVERLOAD_ENV[@]}" \

@@ -1,13 +1,12 @@
 #include "src/db/database.h"
 
 #include <algorithm>
-#include <functional>
 #include <sstream>
 #include <thread>
 
 #include "src/common/failpoint.h"
+#include "src/db/query_driver.h"
 #include "src/exec/basic_ops.h"
-#include "src/parallel/parallel_exec.h"
 #include "src/sql/binder.h"
 #include "src/sql/parser.h"
 
@@ -81,7 +80,7 @@ Status Database::Execute(const std::string& sql) {
     }
     case Statement::Kind::kSelect:
       return Status::InvalidArgument(
-          "Execute() is for DDL; use Query() for SELECT statements");
+          "Execute() is for DDL; use Run() for SELECT statements");
   }
   return Status::Internal("unhandled statement kind");
 }
@@ -157,146 +156,49 @@ void CollectFilterJoinMeasured(const Operator& root,
   }
 }
 
-StatusOr<QueryResult> Database::Query(const std::string& sql) {
-  return Run(sql);
-}
-
-StatusOr<QueryResult> Database::ExecuteParallel(const std::string& sql,
-                                                int dop) {
-  ExecOptions options;
-  options.dop = dop;
-  return Run(sql, options);
-}
-
 StatusOr<QueryResult> Database::Run(const std::string& sql,
                                     const ExecOptions& options) {
-  int dop = options.dop;
-  if (dop <= 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    dop = hw > 0 ? static_cast<int>(hw) : 1;
-  }
   MAGICDB_ASSIGN_OR_RETURN(BoundSelect bound, BindSelect(sql));
-
-  const double threshold =
-      ResolveReoptQErrorThreshold(options.reoptimize_qerror_threshold);
-  // One ledger for the whole query: observations survive re-optimization
-  // restarts (first record per key wins, so re-executions keep the original
-  // wrong-estimate evidence) and end up in QueryResult::feedback.
-  auto ledger = std::make_shared<CardinalityFeedback>();
-  // Start from what earlier persisting queries learned; attempts add their
-  // own observations on top.
-  CardinalityOverlay overlay = feedback_store_.Snapshot();
-
-  const int max_attempts = 1 + std::max(0, options.max_reoptimizations);
-  for (int attempt = 0;; ++attempt) {
-    // The final permitted attempt runs with triggering disabled, so the
-    // loop always terminates with a completed execution.
-    const bool last = attempt + 1 >= max_attempts;
-    StatusOr<QueryResult> r = RunAttempt(bound, dop, options, overlay, ledger,
-                                         last ? 0.0 : threshold);
-    if (r.ok()) {
-      r->reoptimizations = attempt;
-      r->feedback = ledger->Snapshot();
-      if (options.persist_feedback) {
-        feedback_store_.Fold(r->feedback);
-      }
-      return r;
-    }
-    if (!r.status().IsReoptimizeRequested()) return r.status();
-    // Fold every exact overlay-eligible observation into the overlay for
-    // the re-plan, and suppress its key: the corrected estimate makes the
-    // observation consistent, so re-triggering on it would be a planning
-    // no-op (the suppression set is only ever mutated here, between
-    // attempts — never while a gang is running).
-    for (const CardinalityObservation& obs : ledger->Snapshot()) {
-      if (!obs.exact || !IsOverlayKey(obs.key)) continue;
-      overlay.rows[obs.key] = obs.actual;
-      ledger->SuppressKey(obs.key);
-    }
+  DriveRequest request;
+  request.plan.bound = std::move(bound);
+  request.optimizer_options = optimizer_options_;
+  // Start from what earlier persisting queries learned.
+  request.overlay = feedback_store_.Snapshot();
+  request.dop = options.dop;
+  if (request.dop <= 0) {
+    const unsigned hw = std::thread::hardware_concurrency();
+    request.dop = hw > 0 ? static_cast<int>(hw) : 1;
   }
-}
-
-StatusOr<QueryResult> Database::RunAttempt(
-    const BoundSelect& bound, int dop, const ExecOptions& options,
-    const CardinalityOverlay& overlay,
-    const std::shared_ptr<CardinalityFeedback>& ledger, double threshold) {
-  const CardinalityOverlay* ov = overlay.empty() ? nullptr : &overlay;
-  MAGICDB_ASSIGN_OR_RETURN(PlannedSelect planned,
-                           PlanBound(bound, optimizer_options_, ov));
+  request.memory_limit_bytes = options.memory_limit_bytes;
+  request.reoptimize_qerror_threshold = options.reoptimize_qerror_threshold;
+  request.max_reoptimizations = options.max_reoptimizations;
+  request.proto.set_cancel_token(ArmQueryToken(options));
+  request.proto.set_batch_size(options.batch_size < 0 ? exec_batch_size_
+                                                      : options.batch_size);
+  MAGICDB_ASSIGN_OR_RETURN(PreparedQuery query,
+                           PrepareQuery(*this, std::move(request)));
+  MAGICDB_RETURN_IF_ERROR(query.status);
+  if (!query.opened) {
+    MAGICDB_RETURN_IF_ERROR(query.root->Open(query.ctx.get()));
+  }
 
   QueryResult result;
-  result.schema = planned.schema;
-  result.explain = std::move(planned.explain);
-  result.est_cost = planned.est_cost;
-  result.est_rows = planned.est_rows;
-  result.filter_joins = std::move(planned.filter_joins);
-  result.optimizer_stats = planned.optimizer_stats;
-
-  // Prototype execution environment every attempt context inherits. The
-  // memory tracker is per-attempt: an aborted attempt's charges must not
-  // linger into the re-execution.
-  ExecContext proto;
-  proto.set_memory_budget_bytes(optimizer_options_.memory_budget_bytes);
-  proto.set_batch_size(options.batch_size < 0 ? exec_batch_size_
-                                              : options.batch_size);
-  CancelTokenPtr token = options.cancel_token;
-  if (options.timeout.count() > 0) {
-    if (token == nullptr) token = std::make_shared<CancelToken>();
-    if (!token->has_deadline()) token->SetTimeout(options.timeout);
-  }
-  proto.set_cancel_token(std::move(token));
-  if (options.memory_limit_bytes > 0) {
-    proto.set_memory_tracker(
-        std::make_shared<MemoryTracker>(options.memory_limit_bytes));
-  }
-  proto.set_cardinality_feedback(ledger);
-  proto.set_reoptimize_qerror_threshold(threshold);
-
-  // LIMIT cuts the stream early; workers would race for the quota, so it
-  // runs sequentially (the shape analyzer would reject LimitOp anyway —
-  // this path just avoids planning dop replicas for nothing).
-  const bool has_limit = bound.limit >= 0;
-  if (dop <= 1 || has_limit) {
-    ExecContext ctx;
-    ctx.InheritConfig(proto);
-    MAGICDB_ASSIGN_OR_RETURN(result.rows,
-                             ExecuteToVector(planned.root.get(), &ctx));
-    result.counters = ctx.counters();
-    // Collect measured per-phase Filter Join costs from the executed tree.
-    CollectFilterJoinMeasured(*planned.root, &result.filter_join_measured);
-    if (has_limit && dop > 1) {
-      result.parallel_fallback_reason = "LIMIT clause";
-    }
-    return result;
-  }
-
-  // One optimizer pass per worker replica: Optimize() is deterministic
-  // (under the same overlay), so the trees are isomorphic and the executor
-  // verifies that before wiring shared state into them. Planning always
-  // uses the session options (the degree_of_parallelism costing knob
-  // included), never the execution dop — every dop must run the identical
-  // plan or the counter-identity guarantee would be comparing different
-  // plans.
-  std::vector<OpPtr> replicas;
-  replicas.push_back(std::move(planned.root));
-  if (ParallelExecutor::UnsafeReason(*replicas[0]).empty()) {
-    for (int w = 1; w < dop; ++w) {
-      MAGICDB_ASSIGN_OR_RETURN(PlannedSelect replica,
-                               PlanBound(bound, optimizer_options_, ov));
-      replicas.push_back(std::move(replica.root));
-    }
-  }
-
-  ParallelExecutor executor(dop);
-  MAGICDB_ASSIGN_OR_RETURN(ParallelRunResult run,
-                           executor.Run(std::move(replicas), proto));
-  result.rows = std::move(run.rows);
-  result.counters = run.counters;
-  result.used_dop = run.used_dop;
-  result.parallel_fallback_reason = std::move(run.fallback_reason);
-  if (run.has_filter_join) {
-    result.filter_join_measured.push_back(run.filter_join_measured);
-  }
+  MAGICDB_ASSIGN_OR_RETURN(result.rows,
+                           DrainToVector(query.root.get(), query.ctx.get()));
+  result.schema = std::move(query.plan.schema);
+  result.explain = std::move(query.plan.explain);
+  result.est_cost = query.plan.est_cost;
+  result.est_rows = query.plan.est_rows;
+  result.filter_joins = std::move(query.plan.filter_joins);
+  result.optimizer_stats = query.plan.optimizer_stats;
+  result.counters = query.ctx->counters();
+  result.filter_join_measured = query.MeasuredFilterJoins();
+  result.used_dop = query.used_dop;
+  result.parallel_fallback_reason = std::move(query.fallback_reason);
+  result.reoptimizations =
+      static_cast<int>(query.reoptimization_reasons.size());
+  result.feedback = query.ctx->cardinality_feedback()->Snapshot();
+  if (options.persist_feedback) feedback_store_.Fold(result.feedback);
   return result;
 }
 

@@ -34,10 +34,12 @@ struct QueryResult {
   std::vector<FilterJoinMeasured> filter_join_measured;
   /// Optimization effort spent planning this query.
   OptimizerStats optimizer_stats;
-  /// Degree of parallelism the execution actually used (1 for Query() and
-  /// for ExecuteParallel fallbacks).
+  /// Degree of parallelism the execution actually used: the requested dop
+  /// when the worker gang ran, else 1.
   int used_dop = 1;
-  /// Why ExecuteParallel ran single-threaded; empty when it ran parallel.
+  /// Why a dop > 1 request ran sequentially (e.g. "LIMIT clause", an
+  /// unsupported operator, a memory-pressure degrade); empty when the gang
+  /// ran or dop was 1.
   std::string parallel_fallback_reason;
 
   /// How many times runtime cardinality feedback re-planned this query
@@ -67,17 +69,22 @@ struct BoundSelect {
   int64_t limit = -1;  ///< -1 = no LIMIT clause.
 };
 
-/// A fully planned SELECT, ready to execute: the physical root (with any
-/// LIMIT already applied) plus the optimizer's estimates and diagnostics.
-struct PlannedSelect {
+/// The optimizer's outputs for one bound SELECT, apart from the executable
+/// tree: what a plan-cache entry keeps and what a result or cursor reports.
+struct PlanMeta {
   BoundSelect bound;
-  OpPtr root;
   Schema schema;
   std::string explain;
   double est_cost = 0.0;
   double est_rows = 0.0;
   std::vector<FilterJoinCostBreakdown> filter_joins;
   OptimizerStats optimizer_stats;
+};
+
+/// A fully planned SELECT, ready to execute: the physical root (with any
+/// LIMIT already applied) plus its metadata.
+struct PlannedSelect : PlanMeta {
+  OpPtr root;
 };
 
 /// Top-level embedded-database facade tying catalog, SQL front end,
@@ -88,8 +95,9 @@ struct PlannedSelect {
 ///   db.LoadRows("Emp", rows);
 ///   db.Execute("CREATE VIEW DepAvgSal AS SELECT did, AVG(sal) AS avgsal "
 ///              "FROM Emp GROUP BY did");
-///   auto result = db.Query("SELECT ... FROM Emp E, Dept D, DepAvgSal V "
-///                          "WHERE ...");
+///   auto result = db.Run("SELECT ... FROM Emp E, Dept D, DepAvgSal V "
+///                        "WHERE ...");
+///   auto parallel = db.Run("SELECT ...", {.dop = 4});
 class Database {
  public:
   Database() = default;
@@ -99,10 +107,10 @@ class Database {
 
   OptimizerOptions* mutable_optimizer_options() { return &optimizer_options_; }
 
-  /// Rows per batch for the vectorized execution path used by Query() and
-  /// ExecuteParallel(). 0 = classic tuple-at-a-time execution. Results and
-  /// cost counters are byte-identical either way; this only changes how
-  /// operators exchange rows internally.
+  /// Rows per batch for the vectorized execution path Run() uses when
+  /// ExecOptions::batch_size is negative. 0 = classic tuple-at-a-time
+  /// execution. Results and cost counters are byte-identical either way;
+  /// this only changes how operators exchange rows internally.
   int64_t exec_batch_size() const { return exec_batch_size_; }
   void set_exec_batch_size(int64_t rows) {
     exec_batch_size_ = rows < 0 ? 0 : rows;
@@ -115,10 +123,12 @@ class Database {
   Status LoadRows(const std::string& table, std::vector<Tuple> rows);
 
   /// Parses, binds, optimizes and runs a SELECT — the one execution entry
-  /// point. `options.dop` selects sequential (1, the default) or
-  /// morsel-parallel execution (> 1 when the plan shape allows, falling
-  /// back to sequential otherwise; <= 0 = hardware concurrency); results
-  /// and merged cost counters are byte-identical at any dop. When
+  /// point: a fetch-all over the query driver (src/db/query_driver.h), the
+  /// same plan -> attempt -> re-plan path a service cursor streams from.
+  /// `options.dop` selects sequential (1, the default) or morsel-parallel
+  /// execution (> 1 when the plan shape allows, falling back to sequential
+  /// otherwise; <= 0 = hardware concurrency); results and merged cost
+  /// counters are byte-identical at any dop. When
   /// `options.reoptimize_qerror_threshold` resolves to a positive value
   /// (see ExecOptions), pipeline-breaker cardinalities whose q-error
   /// exceeds it abort the attempt, fold the observed counts into a
@@ -129,13 +139,6 @@ class Database {
   /// `options.dop`, so every dop executes the identical plan.
   StatusOr<QueryResult> Run(const std::string& sql,
                             const ExecOptions& options = {});
-
-  /// DEPRECATED: thin wrapper over Run(sql) (sequential). Prefer Run().
-  StatusOr<QueryResult> Query(const std::string& sql);
-
-  /// DEPRECATED: thin wrapper over Run() with `options.dop = dop`. Prefer
-  /// Run().
-  StatusOr<QueryResult> ExecuteParallel(const std::string& sql, int dop = 0);
 
   /// Cross-query cardinality feedback: queries run with
   /// ExecOptions::persist_feedback fold their exact scan/view observations
@@ -175,12 +178,6 @@ class Database {
                                     const CardinalityOverlay* overlay) const;
 
  private:
-  /// One planning+execution attempt of Run's adaptive loop.
-  StatusOr<QueryResult> RunAttempt(
-      const BoundSelect& bound, int dop, const ExecOptions& options,
-      const CardinalityOverlay& overlay,
-      const std::shared_ptr<CardinalityFeedback>& ledger, double threshold);
-
   Catalog catalog_;
   OptimizerOptions optimizer_options_;
   int64_t exec_batch_size_ = DefaultExecBatchSize();

@@ -178,7 +178,7 @@ class ExecContext {
   void set_batch_size(int64_t n) { batch_size_ = n; }
 
   /// Worker pool parallel execution should run on. Null (the default) makes
-  /// ParallelExecutor spin up a dedicated pool per Run; the serving layer
+  /// ParallelExecutor spin up a dedicated pool per gang; the serving layer
   /// points every query at its one shared pool.
   ThreadPool* shared_pool() const { return shared_pool_; }
   void set_shared_pool(ThreadPool* pool) { shared_pool_ = pool; }

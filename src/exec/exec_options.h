@@ -15,19 +15,24 @@ namespace magicdb {
 struct ExecOptions {
   /// Requested degree of parallelism. 1 (default) runs sequentially (on the
   /// service's fair cooperative scheduler when serving); > 1 runs the
-  /// morsel-parallel executor when the plan shape allows, otherwise falls
-  /// back to the sequential path with QueryResult::parallel_fallback_reason
-  /// set; <= 0 means hardware concurrency (Database::Run only).
+  /// morsel-parallel worker gang when the query driver finds the plan
+  /// parallel-safe (ParallelExecutor::UnsafeReason — a LIMIT clause is
+  /// not), otherwise the same plan sequentially with
+  /// QueryResult::parallel_fallback_reason set. <= 0 means hardware
+  /// concurrency for Database::Run; the service clamps to [1, pool size].
   int dop = 1;
 
-  /// Relative deadline for the whole query, admission wait included.
-  /// Zero = no deadline. A query that exceeds it unwinds cooperatively
-  /// with StatusCode::kDeadlineExceeded.
+  /// Relative deadline for the whole query, admission wait included,
+  /// applied the same way by both entry points (ArmQueryToken): zero = no
+  /// deadline; positive = `timeout` from submission, replacing any deadline
+  /// `cancel_token` already carries; negative = already expired, so the
+  /// query fails with kDeadlineExceeded without running. A query that
+  /// exceeds its deadline unwinds cooperatively with kDeadlineExceeded.
   std::chrono::microseconds timeout{0};
 
   /// Optional externally owned token; lets the submitter cancel the query
-  /// from another thread. When null and a timeout is set, the service
-  /// creates an internal token.
+  /// from another thread. When null, the query runs under a fresh internal
+  /// token.
   CancelTokenPtr cancel_token;
 
   /// High-water mark (rows) of this query's streaming result queue; the

@@ -436,15 +436,6 @@ void FilterJoinOp::ReleaseBuild() {
   std::vector<Tuple>().swap(build_rows_);
 }
 
-const FilterJoinOp* FindFilterJoin(const Operator& root) {
-  if (const auto* fj = dynamic_cast<const FilterJoinOp*>(&root)) return fj;
-  for (const Operator* child : root.Children()) {
-    const FilterJoinOp* found = FindFilterJoin(*child);
-    if (found != nullptr) return found;
-  }
-  return nullptr;
-}
-
 std::string FilterJoinOp::Describe() const {
   std::string s = "FilterJoin(impl=" + std::string(FilterSetImplName(impl_));
   if (ship_filter_to_site_ > 0) {

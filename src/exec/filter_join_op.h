@@ -177,10 +177,6 @@ class FilterJoinOp final : public Operator {
   std::vector<int64_t> production_pos_;  // global pos per production_ row
 };
 
-/// Finds the topmost FilterJoinOp in an operator tree (nullptr if none) —
-/// benches use this to read measured Table-1 components.
-const FilterJoinOp* FindFilterJoin(const Operator& root);
-
 }  // namespace magicdb
 
 #endif  // MAGICDB_EXEC_FILTER_JOIN_OP_H_

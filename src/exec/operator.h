@@ -73,6 +73,9 @@ using OpPtr = std::unique_ptr<Operator>;
 /// (with one cancellation checkpoint per batch); otherwise it loops Next().
 StatusOr<std::vector<Tuple>> ExecuteToVector(Operator* root, ExecContext* ctx);
 
+/// ExecuteToVector for an already opened `root`: drains it, then closes it.
+StatusOr<std::vector<Tuple>> DrainToVector(Operator* root, ExecContext* ctx);
+
 }  // namespace magicdb
 
 #endif  // MAGICDB_EXEC_OPERATOR_H_

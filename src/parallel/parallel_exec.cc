@@ -56,6 +56,11 @@ SeqScanOp* FindInnerScan(Operator* node) {
 /// sequentially.
 std::string Analyze(Operator* root, ReplicaShape* shape) {
   Operator* node = root;
+  if (dynamic_cast<LimitOp*>(node) != nullptr) {
+    // Workers would race for the quota, and the limit cuts the stream
+    // early: planning replicas would be wasted work.
+    return "LIMIT clause";
+  }
   while (true) {
     if (dynamic_cast<FilterOp*>(node) != nullptr ||
         dynamic_cast<ProjectOp*>(node) != nullptr) {
@@ -274,42 +279,12 @@ std::string ParallelExecutor::UnsafeReason(const Operator& root) {
   return Analyze(const_cast<Operator*>(&root), &shape);
 }
 
-StatusOr<ParallelRunResult> ParallelExecutor::Run(
-    std::vector<OpPtr> replicas, const ExecContext& proto) {
-  MAGICDB_ASSIGN_OR_RETURN(StagedStream staged,
-                           RunStaged(std::move(replicas), proto));
-  ParallelRunResult result;
-  result.used_dop = staged.used_dop;
-  result.fallback_reason = std::move(staged.fallback_reason);
-  ExecContext ctx;
-  if (!staged.staged) {
-    // Fallback: this drain IS the execution.
-    ctx.InheritConfig(proto);
-  }
-  MAGICDB_ASSIGN_OR_RETURN(result.rows,
-                           ExecuteToVector(staged.stream_root.get(), &ctx));
-  if (staged.staged) {
-    MAGICDB_CHECK(ctx.counters().TotalCost() == 0.0);  // GatherOp is free
-    result.counters = staged.counters;
-    result.has_filter_join = staged.has_filter_join;
-    result.filter_join_measured = staged.filter_join_measured;
-    result.filter_set_size = staged.filter_set_size;
-  } else {
-    result.counters = ctx.counters();
-    if (const FilterJoinOp* fj = FindFilterJoin(*staged.stream_root)) {
-      result.has_filter_join = true;
-      result.filter_join_measured = fj->measured();
-      result.filter_set_size = fj->last_filter_set_size();
-    }
-  }
-  return result;
-}
-
 StatusOr<StagedStream> ParallelExecutor::RunStaged(
     std::vector<OpPtr> replicas, const ExecContext& proto) {
   const int64_t memory_budget_bytes = proto.memory_budget_bytes();
   if (replicas.empty()) {
-    return Status::InvalidArgument("ParallelExecutor::Run: no plan replicas");
+    return Status::InvalidArgument(
+        "ParallelExecutor::RunStaged: no plan replicas");
   }
   if (proto.cancel_token() != nullptr) {
     // A query whose deadline expired while queued for admission must not
@@ -441,9 +416,6 @@ StatusOr<StagedStream> ParallelExecutor::RunStaged(
       staged.filter_join_measured.avail_filter += m.avail_filter;
       staged.filter_join_measured.filter_inner += m.filter_inner;
       staged.filter_join_measured.final_join += m.final_join;
-      // Only the coordinator observed the filter set; peers report 0.
-      staged.filter_set_size +=
-          shapes[w].filter_join->last_filter_set_size();
     }
   }
 

@@ -17,28 +17,6 @@ namespace magicdb {
 class SpillManager;
 class ThreadPool;
 
-/// Outcome of one (possibly parallel) pipeline execution.
-struct ParallelRunResult {
-  std::vector<Tuple> rows;
-
-  /// Per-worker counters merged at pipeline close. The charging protocol
-  /// (every row's work charged by exactly one worker, whole-relation
-  /// charges by exactly one designated worker) makes these identical to a
-  /// single-threaded execution's counters at any DoP.
-  CostCounters counters;
-
-  /// Degree of parallelism actually used (1 after a fallback).
-  int used_dop = 1;
-
-  /// Why the plan ran single-threaded; empty when it ran parallel.
-  std::string fallback_reason;
-
-  /// Summed Table-1 phase measurements of the plan's Filter Join, if any.
-  bool has_filter_join = false;
-  FilterJoinMeasured filter_join_measured;
-  int64_t filter_set_size = 0;
-};
-
 /// A parallel execution staged for streaming: the outcome of
 /// ParallelExecutor::RunStaged. When the gang ran (`staged` == true) the
 /// workers have already produced and rank-tagged every output row;
@@ -60,7 +38,6 @@ struct StagedStream {
   std::string fallback_reason;
   bool has_filter_join = false;
   FilterJoinMeasured filter_join_measured;
-  int64_t filter_set_size = 0;
 };
 
 /// Morsel-driven parallel executor. Takes `dop` isomorphic plan replicas
@@ -85,10 +62,12 @@ class ParallelExecutor {
   /// `dop` >= 1; clamped up to 1.
   explicit ParallelExecutor(int dop);
 
-  /// Runs the pipeline. `replicas` must contain either `dop` isomorphic
-  /// plans, or at least one plan (fallback runs replicas[0]). Consumes the
-  /// replicas. `proto` is a prototype execution environment: every worker's
-  /// ExecContext (and the fallback drain's) inherits its configuration —
+  /// Runs the worker gang to completion (or decides the fallback without
+  /// executing anything) and returns the operator the caller pumps to
+  /// deliver rows incrementally — see StagedStream. `replicas` must contain
+  /// either `dop` isomorphic plans, or at least one plan (a fallback hands
+  /// back replicas[0]); consumes them. `proto` is a prototype execution
+  /// environment: every worker's ExecContext inherits its configuration —
   /// cancel token, memory governor/budget, spill area, batch size, shared
   /// thread pool, and the cardinality-feedback ledger with its
   /// re-optimization threshold (see ExecContext::InheritConfig). Counters
@@ -96,14 +75,8 @@ class ParallelExecutor {
   /// shared pool the caller must uphold ThreadPool::RunGang's deadlock
   /// contract: at most pool->size() blocking gang tasks outstanding — the
   /// query service's admission controller reserves `dop` slots per parallel
-  /// query for exactly this reason.
-  StatusOr<ParallelRunResult> Run(std::vector<OpPtr> replicas,
-                                  const ExecContext& proto);
-
-  /// Streaming variant: runs the worker gang to completion (or decides the
-  /// fallback without executing anything) and returns the operator the
-  /// caller pumps to deliver rows incrementally — see StagedStream. Run()
-  /// is a thin drain-to-vector wrapper over this.
+  /// query for exactly this reason. The query driver (src/db/query_driver.h)
+  /// is the one caller.
   StatusOr<StagedStream> RunStaged(std::vector<OpPtr> replicas,
                                    const ExecContext& proto);
 

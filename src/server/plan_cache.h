@@ -16,15 +16,7 @@ namespace magicdb {
 /// Everything a cache hit reuses without re-planning: the bound logical
 /// plan (immutable, shared) plus the optimizer's outputs for it. The
 /// physical instances live next to this in the cache entry.
-struct CachedPlanMeta {
-  BoundSelect bound;
-  Schema schema;
-  std::string explain;
-  double est_cost = 0.0;
-  double est_rows = 0.0;
-  std::vector<FilterJoinCostBreakdown> filter_joins;
-  OptimizerStats optimizer_stats;
-};
+using CachedPlanMeta = PlanMeta;
 
 /// SQL-keyed plan cache with LRU eviction. The key must already embed the
 /// session's OptimizerOptions fingerprint (see OptimizerOptionsFingerprint)

@@ -228,7 +228,7 @@ struct ServiceStats {
 /// "embedded library" and "server".
 ///
 ///   - One process-wide work-stealing ThreadPool shared by every query
-///     (PR 1 created a pool per ExecuteParallel call).
+///     (an embedded Database::Run creates a pool per parallel query).
 ///   - FIFO admission controller: `max_concurrent_queries` tickets, plus
 ///     gang-slot accounting that keeps the number of potentially blocking
 ///     parallel workers at or below the pool size — the invariant that
@@ -250,7 +250,7 @@ struct ServiceStats {
 ///     every operator checkpoint and every cursor Fetch; cursor close =
 ///     cancel + drain, so abandoned consumers free pool resources.
 ///
-/// Results are byte-identical to Database::Query() under the same session
+/// Results are byte-identical to Database::Run() under the same session
 /// options — concatenating a cursor's fetched batches reproduces the exact
 /// rows, order, and merged CostCounters at any DoP.
 ///
@@ -371,9 +371,11 @@ class QueryService {
   /// finished streams. Failpoint site: `watchdog.fire`.
   void WatchdogLoop();
 
-  /// Plans the query and starts its producer; always releases `gang_slots`
-  /// before returning (the gang, if any, has finished by then). On success
-  /// the returned cursor owns the admission ticket.
+  /// Looks the plan up in the cache (planning and caching it on a miss),
+  /// prepares it through the query driver (PrepareQuery) and starts its
+  /// producer; always releases `gang_slots` before returning (the gang, if
+  /// any, has finished by then). On success the returned cursor owns the
+  /// admission ticket.
   StatusOr<Cursor> OpenAdmitted(Session* session, const std::string& sql,
                                 const ExecOptions& exec,
                                 const CancelTokenPtr& token,

@@ -175,7 +175,7 @@ TEST(MemoryGovernorTest, ServiceDefaultLimitAppliesAndCanBeOverridden) {
 TEST(MemoryGovernorTest, ConcurrentUnderLimitQueriesCompleteWhileOneBreaches) {
   Database db;
   MakeWorkload(&db);
-  auto baseline = db.Query(kJoinQuery);
+  auto baseline = db.Run(kJoinQuery);
   ASSERT_TRUE(baseline.ok());
 
   QueryServiceOptions so;
@@ -231,7 +231,7 @@ TEST(MemoryGovernorTest, ConcurrentUnderLimitQueriesCompleteWhileOneBreaches) {
 TEST(MemoryGovernorTest, UngovernedResultsByteIdenticalToDatabaseQuery) {
   Database db;
   MakeWorkload(&db);
-  auto baseline = db.Query(kMagicQuery);
+  auto baseline = db.Run(kMagicQuery);
   ASSERT_TRUE(baseline.ok());
 
   QueryServiceOptions so;
@@ -322,7 +322,7 @@ void RunMixedWorkload(Session* session, const std::string& injected_msg) {
 TEST(ChaosTest, AnyInjectedFaultLeavesServiceConsistent) {
   Database db;
   MakeWorkload(&db);
-  auto baseline = db.Query(kMagicQuery);
+  auto baseline = db.Run(kMagicQuery);
   ASSERT_TRUE(baseline.ok());
 
   QueryServiceOptions so;
@@ -412,7 +412,7 @@ TEST(ChaosTest, ProbabilisticFaultsUnderConcurrencyRecover) {
 TEST(ChaosTest, ParkResumeDelayInjectionKeepsStreamExact) {
   Database db;
   MakeWorkload(&db);
-  auto baseline = db.Query(kJoinQuery);
+  auto baseline = db.Run(kJoinQuery);
   ASSERT_TRUE(baseline.ok());
 
   QueryServiceOptions so;
@@ -434,8 +434,19 @@ TEST(ChaosTest, ParkResumeDelayInjectionKeepsStreamExact) {
 
   ExecOptions exec;
   exec.stream_queue_rows = 4;
+  // The result overflows the queue, so an unfetched stream has to park.
+  ASSERT_GT(static_cast<int64_t>(baseline->rows.size()),
+            exec.stream_queue_rows);
   auto cursor = session->Open(kJoinQuery, exec);
   ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
+  // Fetch nothing until the producer has filled the queue and parked, so
+  // the park -> resume handoff runs however the threads interleave.
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (cursor->producer_parks() == 0 &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   std::vector<Tuple> streamed;
   while (true) {
     auto batch = cursor->Fetch(3);

@@ -1,7 +1,7 @@
 // Tests for the query-service subsystem: metrics primitives, cancellation
 // tokens, the plan cache's epoch-keyed invalidation, sessions/prepared
 // statements, deadlines, and — the core guarantee — that every service
-// execution path returns results byte-identical to Database::Query() with
+// execution path returns results byte-identical to Database::Run() with
 // exactly equal cost counters.
 
 #include <chrono>
@@ -235,8 +235,8 @@ const char* kMagicQuery =
 TEST(QueryServiceTest, ResultsByteIdenticalToDatabaseQuery) {
   Database db;
   MakeWorkload(&db);
-  auto baseline_join = db.Query(kJoinQuery);
-  auto baseline_magic = db.Query(kMagicQuery);
+  auto baseline_join = db.Run(kJoinQuery);
+  auto baseline_magic = db.Run(kMagicQuery);
   ASSERT_TRUE(baseline_join.ok());
   ASSERT_TRUE(baseline_magic.ok());
   ASSERT_FALSE(baseline_join->rows.empty());
@@ -272,7 +272,7 @@ TEST(QueryServiceTest, ResultsByteIdenticalToDatabaseQuery) {
 TEST(QueryServiceTest, ParallelQueryIdenticalOnSharedPool) {
   Database db;
   MakeWorkload(&db);
-  auto baseline = db.Query(kJoinQuery);
+  auto baseline = db.Run(kJoinQuery);
   ASSERT_TRUE(baseline.ok());
 
   QueryServiceOptions so;
@@ -294,7 +294,7 @@ TEST(QueryServiceTest, GroupByRunsParallelOnSharedPool) {
   const char* agg_query =
       "SELECT E.did, COUNT(*) AS c, SUM(E.eid) AS s, MIN(E.sal) AS m "
       "FROM Emp E GROUP BY E.did";
-  auto baseline = db.Query(agg_query);
+  auto baseline = db.Run(agg_query);
   ASSERT_TRUE(baseline.ok());
 
   QueryServiceOptions so;
@@ -384,7 +384,7 @@ TEST(QueryServiceTest, LoadRowsInvalidatesAndMatchesFreshPlanning) {
   ASSERT_TRUE(session->Query(kJoinQuery).ok());
 
   // New data changes statistics and possibly plan choice; the service must
-  // serve exactly what a fresh Database::Query() would.
+  // serve exactly what a fresh Database::Run() would.
   Random rng(99);
   std::vector<Tuple> more;
   for (int i = 0; i < 400; ++i) {
@@ -394,7 +394,7 @@ TEST(QueryServiceTest, LoadRowsInvalidatesAndMatchesFreshPlanning) {
   }
   MAGICDB_CHECK_OK(service.LoadRows("Emp", std::move(more)));
 
-  auto fresh = db.Query(kJoinQuery);
+  auto fresh = db.Run(kJoinQuery);
   ASSERT_TRUE(fresh.ok());
   auto served = session->Query(kJoinQuery);
   ASSERT_TRUE(served.ok());
@@ -432,7 +432,7 @@ TEST(QueryServiceTest, PreparedStatements) {
 
   EXPECT_FALSE(session->Prepare("bad", "SELECT nope FROM Nowhere").ok());
   MAGICDB_CHECK_OK(session->Prepare("q", kJoinQuery));
-  auto baseline = db.Query(kJoinQuery);
+  auto baseline = db.Run(kJoinQuery);
   ASSERT_TRUE(baseline.ok());
   auto r1 = session->ExecutePrepared("q");
   ASSERT_TRUE(r1.ok());
@@ -528,14 +528,16 @@ TEST(QueryServiceTest, MemoryGovernanceMetricsExported) {
   EXPECT_EQ(stats.used_gang_slots, 0);
 }
 
-TEST(QueryServiceTest, ReoptimizationSurfacesInStatsAndResult) {
-  // Fact.a == Fact.b on every row: the independence assumption puts the
-  // filtered Fact at ~1% when ~10% qualifies, so the hash-join build above
-  // it observes a ~10x q-error. Dim listed first keeps Fact on the build
-  // side.
-  Database db;
-  MAGICDB_CHECK_OK(db.Execute("CREATE TABLE Fact (k INT, a INT, b INT)"));
-  MAGICDB_CHECK_OK(db.Execute("CREATE TABLE Dim (k INT, tag INT)"));
+// Fact.a == Fact.b on every row: the independence assumption puts the
+// filtered Fact at ~1% when ~10% qualifies, so the hash-join build above it
+// observes a ~10x q-error. Dim listed first keeps Fact on the build side.
+constexpr char kCorrelatedJoinQuery[] =
+    "SELECT F.k, D.tag FROM Dim D, Fact F "
+    "WHERE F.k = D.k AND F.a < 1 AND F.b < 1";
+
+void MakeCorrelatedFactDim(Database* db) {
+  MAGICDB_CHECK_OK(db->Execute("CREATE TABLE Fact (k INT, a INT, b INT)"));
+  MAGICDB_CHECK_OK(db->Execute("CREATE TABLE Dim (k INT, tag INT)"));
   std::vector<Tuple> facts, dims;
   for (int i = 0; i < 4000; ++i) {
     facts.push_back({Value::Int64(i % 30), Value::Int64(i % 10),
@@ -544,12 +546,15 @@ TEST(QueryServiceTest, ReoptimizationSurfacesInStatsAndResult) {
   for (int k = 0; k < 30; ++k) {
     dims.push_back({Value::Int64(k), Value::Int64(k * 7)});
   }
-  MAGICDB_CHECK_OK(db.LoadRows("Fact", std::move(facts)));
-  MAGICDB_CHECK_OK(db.LoadRows("Dim", std::move(dims)));
-  MAGICDB_CHECK_OK(db.catalog()->AnalyzeAll());
-  const char* sql =
-      "SELECT F.k, D.tag FROM Dim D, Fact F "
-      "WHERE F.k = D.k AND F.a < 1 AND F.b < 1";
+  MAGICDB_CHECK_OK(db->LoadRows("Fact", std::move(facts)));
+  MAGICDB_CHECK_OK(db->LoadRows("Dim", std::move(dims)));
+  MAGICDB_CHECK_OK(db->catalog()->AnalyzeAll());
+}
+
+TEST(QueryServiceTest, ReoptimizationSurfacesInStatsAndResult) {
+  Database db;
+  MakeCorrelatedFactDim(&db);
+  const char* sql = kCorrelatedJoinQuery;
 
   QueryServiceOptions so;
   so.pool_threads = 4;
@@ -597,6 +602,69 @@ TEST(QueryServiceTest, ReoptimizationSurfacesInStatsAndResult) {
   EXPECT_NE(dump.find("magicdb_server_reoptimizations_total{reason="),
             std::string::npos)
       << dump;
+}
+
+// Database::Run and a service cursor are two callers of one query driver:
+// for the same statement and options they agree on the rows, every cost
+// counter, how often the query re-planned, and whether it ran parallel —
+// including a dop > 1 request that falls back to sequential (LIMIT) while
+// re-optimization is armed.
+TEST(QueryDriverTest, RunAndCursorAgreeOnReplanAndFallback) {
+  Database db;
+  MakeCorrelatedFactDim(&db);
+  QueryServiceOptions so;
+  so.pool_threads = 4;
+  QueryService service(&db, so);
+  std::unique_ptr<Session> session = service.CreateSession();
+
+  for (int dop : {1, 4}) {
+    for (const std::string suffix : {"", " LIMIT 1000"}) {
+      const std::string sql = kCorrelatedJoinQuery + suffix;
+      SCOPED_TRACE("dop=" + std::to_string(dop) + " sql=" + sql);
+      ExecOptions exec;
+      exec.dop = dop;
+      exec.reoptimize_qerror_threshold = 2.0;
+      auto embedded = db.Run(sql, exec);
+      ASSERT_TRUE(embedded.ok()) << embedded.status().ToString();
+      auto served = session->Query(sql, exec);
+      ASSERT_TRUE(served.ok()) << served.status().ToString();
+
+      ExpectRowsIdentical(served->rows, embedded->rows);
+      ExpectCountersEqual(served->counters, embedded->counters);
+      EXPECT_EQ(served->counters.spill_bytes_written,
+                embedded->counters.spill_bytes_written);
+      EXPECT_EQ(served->counters.spill_bytes_read,
+                embedded->counters.spill_bytes_read);
+      EXPECT_GE(embedded->reoptimizations, 1);
+      EXPECT_EQ(served->reoptimizations, embedded->reoptimizations);
+      EXPECT_EQ(served->used_dop, embedded->used_dop);
+      EXPECT_EQ(served->parallel_fallback_reason,
+                embedded->parallel_fallback_reason);
+    }
+  }
+
+  // A negative timeout is already expired on both paths.
+  ExecOptions expired;
+  expired.timeout = std::chrono::microseconds(-1);
+  auto embedded_expired = db.Run(kCorrelatedJoinQuery, expired);
+  EXPECT_EQ(embedded_expired.status().code(), StatusCode::kDeadlineExceeded);
+  auto served_expired = session->Query(kCorrelatedJoinQuery, expired);
+  EXPECT_EQ(served_expired.status().code(), StatusCode::kDeadlineExceeded);
+
+  // A timeout replaces the deadline an external token already carries (here
+  // one that has passed but was never observed), on both paths.
+  const auto rearmed = [] {
+    ExecOptions exec;
+    exec.cancel_token = std::make_shared<CancelToken>();
+    exec.cancel_token->SetDeadline(std::chrono::steady_clock::now() -
+                                   std::chrono::seconds(1));
+    exec.timeout = std::chrono::seconds(60);
+    return exec;
+  };
+  auto embedded_rearmed = db.Run(kCorrelatedJoinQuery, rearmed());
+  EXPECT_TRUE(embedded_rearmed.ok()) << embedded_rearmed.status().ToString();
+  auto served_rearmed = session->Query(kCorrelatedJoinQuery, rearmed());
+  EXPECT_TRUE(served_rearmed.ok()) << served_rearmed.status().ToString();
 }
 
 }  // namespace

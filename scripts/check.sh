@@ -13,7 +13,8 @@
 #      aggregation merge on real query shapes;
 #   2. ThreadSanitizer build, full test suite (barrier/steal/merge,
 #      partitioned-aggregate staging, and admission/plan-cache/cancellation
-#      races), plus the same bench smoke under TSAN;
+#      races), 20 repeats of the concurrent metric-scrape test, plus the
+#      same bench smoke under TSAN;
 #   3. AddressSanitizer+UndefinedBehaviorSanitizer build, full test suite
 #      (lifetime bugs in pooled plan instances, cancellation unwinds, and
 #      UB anywhere; MAGICDB_SANITIZE=address enables both).
@@ -127,6 +128,14 @@ echo "=== TSAN suite, re-optimization forced aggressive ==="
 MAGICDB_TEST_REOPT_QERROR=1.0 \
   ctest --test-dir build-tsan --output-on-failure --timeout 120 \
         -j "${JOBS}" "$@"
+
+# Metric scrapes call read-through gauges that take service locks (the
+# admission mutex, the pool, the spill area) while queries run: repeat the
+# concurrent-scrape test so TSAN sees many scrape/query interleavings.
+echo "=== TSAN concurrent metric scrapes (20 repeats) ==="
+./build-tsan/tests/magicdb_tests \
+  --gtest_filter=ServerStressTest.ConcurrentScrapesSeeMonotoneCounters \
+  --gtest_repeat=20
 
 echo "=== Parallel-scaling bench smoke (TSAN, DoP 2) ==="
 ./build-tsan/bench/bench_parallel_scaling --smoke

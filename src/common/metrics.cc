@@ -4,6 +4,8 @@
 #include <limits>
 #include <sstream>
 
+#include "src/common/logging.h"
+
 namespace magicdb {
 
 namespace {
@@ -69,41 +71,74 @@ double LatencyHistogram::Quantile(double q) const {
   return static_cast<double>(BucketUpperBound(kNumBuckets - 2));
 }
 
-Counter* MetricsRegistry::counter(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = counters_[name];
-  if (slot == nullptr) slot = std::make_unique<Counter>();
-  return slot.get();
+std::string MetricSeries::ToString() const {
+  if (label.key.empty()) return name;
+  return name + "{" + label.key + "=" + label.value + "}";
 }
 
-LatencyHistogram* MetricsRegistry::histogram(const std::string& name) {
+Counter* MetricsRegistry::counter(const std::string& name,
+                                  const MetricLabel& label) {
+  std::string key = MetricSeries{name, label}.ToString();
   std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = histograms_[name];
-  if (slot == nullptr) slot = std::make_unique<LatencyHistogram>();
-  return slot.get();
+  auto [it, inserted] = scalars_.try_emplace(std::move(key));
+  if (inserted) it->second.series = {name, label};
+  MAGICDB_CHECK(!it->second.read);
+  return &it->second.counter;
+}
+
+LatencyHistogram* MetricsRegistry::histogram(const std::string& name,
+                                             const MetricLabel& label) {
+  std::string key = MetricSeries{name, label}.ToString();
+  std::lock_guard<std::mutex> lock(mu_);
+  return &histograms_.try_emplace(std::move(key)).first->second;
+}
+
+void MetricsRegistry::gauge(const std::string& name,
+                            std::function<int64_t()> read) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto [it, inserted] = scalars_.try_emplace(name);
+  MAGICDB_CHECK(inserted);
+  it->second.series.name = name;
+  it->second.read = std::move(read);
+}
+
+std::vector<MetricSample> MetricsRegistry::Samples() const {
+  std::vector<const Scalar*> scalars;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    scalars.reserve(scalars_.size());
+    for (const auto& [key, scalar] : scalars_) scalars.push_back(&scalar);
+  }
+  // Gauge callbacks may take their owner's locks: call them unlocked.
+  std::vector<MetricSample> out;
+  out.reserve(scalars.size());
+  for (const Scalar* scalar : scalars) {
+    out.push_back({scalar->series, scalar->read ? scalar->read()
+                                                : scalar->counter.Value()});
+  }
+  return out;
 }
 
 std::map<std::string, int64_t> MetricsRegistry::CounterValues() const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::map<std::string, int64_t> out;
-  for (const auto& [name, counter] : counters_) {
-    out[name] = counter->Value();
+  for (const MetricSample& sample : Samples()) {
+    out[sample.series.ToString()] = sample.value;
   }
   return out;
 }
 
 std::string MetricsRegistry::TextDump() const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::ostringstream os;
   os.setf(std::ios::fixed);
   os.precision(1);
-  for (const auto& [name, counter] : counters_) {
-    os << name << " " << counter->Value() << "\n";
+  for (const MetricSample& sample : Samples()) {
+    os << sample.series.ToString() << " " << sample.value << "\n";
   }
-  for (const auto& [name, hist] : histograms_) {
-    os << name << " count=" << hist->Count() << " sum=" << hist->Sum()
-       << " p50=" << hist->Quantile(0.50) << " p95=" << hist->Quantile(0.95)
-       << " p99=" << hist->Quantile(0.99) << "\n";
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const auto& [key, hist] : histograms_) {
+    os << key << " count=" << hist.Count() << " sum=" << hist.Sum()
+       << " p50=" << hist.Quantile(0.50) << " p95=" << hist.Quantile(0.95)
+       << " p99=" << hist.Quantile(0.99) << "\n";
   }
   return os.str();
 }

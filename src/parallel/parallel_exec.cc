@@ -282,17 +282,11 @@ std::string ParallelExecutor::UnsafeReason(const Operator& root) {
 StatusOr<StagedStream> ParallelExecutor::RunStaged(
     std::vector<OpPtr> replicas, const ExecContext& proto) {
   const int64_t memory_budget_bytes = proto.memory_budget_bytes();
-  if (replicas.empty()) {
-    return Status::InvalidArgument(
-        "ParallelExecutor::RunStaged: no plan replicas");
-  }
+  MAGICDB_CHECK(dop_ > 1 && static_cast<int>(replicas.size()) == dop_);
   if (proto.cancel_token() != nullptr) {
     // A query whose deadline expired while queued for admission must not
     // start executing at all.
     MAGICDB_RETURN_IF_ERROR(proto.cancel_token()->Check());
-  }
-  if (dop_ == 1) {
-    return MakeFallback(&replicas, "dop=1");
   }
 
   // Analyze every replica; verify the trees really are isomorphic (the
@@ -302,9 +296,6 @@ StatusOr<StagedStream> ParallelExecutor::RunStaged(
   std::string reason = Analyze(replicas[0].get(), &shapes[0]);
   if (!reason.empty()) {
     return MakeFallback(&replicas, reason);
-  }
-  if (static_cast<int>(replicas.size()) != dop_) {
-    return MakeFallback(&replicas, "replica count does not match dop");
   }
   const std::string tree0 = replicas[0]->TreeString();
   for (size_t w = 1; w < replicas.size(); ++w) {

@@ -64,9 +64,10 @@ class ParallelExecutor {
 
   /// Runs the worker gang to completion (or decides the fallback without
   /// executing anything) and returns the operator the caller pumps to
-  /// deliver rows incrementally — see StagedStream. `replicas` must contain
-  /// either `dop` isomorphic plans, or at least one plan (a fallback hands
-  /// back replicas[0]); consumes them. `proto` is a prototype execution
+  /// deliver rows incrementally — see StagedStream. Requires dop > 1 and
+  /// exactly `dop` replicas (checked); consumes them. Replicas that are not
+  /// parallel-safe or not isomorphic fall back: the stream hands back
+  /// replicas[0] for sequential execution. `proto` is a prototype execution
   /// environment: every worker's ExecContext inherits its configuration —
   /// cancel token, memory governor/budget, spill area, batch size, shared
   /// thread pool, and the cardinality-feedback ledger with its

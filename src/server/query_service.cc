@@ -6,8 +6,8 @@
 #include <chrono>
 #include <cstdlib>
 #include <memory>
-#include <sstream>
 #include <thread>
+#include <tuple>
 #include <utility>
 
 #include "src/common/backoff.h"
@@ -45,20 +45,6 @@ std::string SanitizeReasonLabel(const std::string& reason) {
   }
   return label;
 }
-
-const char kFallbackMetricPrefix[] =
-    "magicdb_server_parallel_fallbacks_total{reason=";
-const char kReoptMetricPrefix[] =
-    "magicdb_server_reoptimizations_total{reason=";
-const char kCacheHitBackendPrefix[] =
-    "magicdb_server_plan_cache_hits_total{backend=";
-const char kCacheMissBackendPrefix[] =
-    "magicdb_server_plan_cache_misses_total{backend=";
-const char kShedReasonPrefix[] = "magicdb_server_sheds_total{reason=";
-const char kWatchdogReasonPrefix[] =
-    "magicdb_server_watchdog_cancels_total{reason=";
-const char kAdmittedPriorityPrefix[] =
-    "magicdb_server_queries_admitted_total{priority=";
 
 /// Virtual-time advance per admission is kVirtualTimeScale / weight, so a
 /// lane with twice the weight is served twice as often under saturation.
@@ -98,65 +84,6 @@ struct StreamProducer {
   /// FeedbackStore on clean end of stream (ExecOptions::persist_feedback).
   bool persist_feedback = false;
 };
-
-std::string ServiceStats::ToString() const {
-  std::ostringstream os;
-  os << "pool_threads=" << pool_threads << " submitted=" << queries_submitted
-     << " admitted=" << queries_admitted << " completed=" << queries_completed
-     << " failed=" << queries_failed << " cancelled=" << queries_cancelled
-     << " deadline_exceeded=" << deadlines_exceeded
-     << " resource_exhausted=" << queries_resource_exhausted
-     << " ddl_retries=" << query_ddl_retries
-     << " active_queries=" << active_queries
-     << " used_gang_slots=" << used_gang_slots
-     << " plan_cache_hits=" << plan_cache_hits
-     << " plan_cache_misses=" << plan_cache_misses
-     << " instance_reuses=" << plan_instance_reuses
-     << " sched_quanta=" << sched_quanta
-     << " morsels_stolen=" << morsels_stolen << " ddl_epoch=" << ddl_epoch
-     << " cursors_opened=" << cursors_opened
-     << " open_cursors=" << open_cursors << " rows_streamed=" << rows_streamed
-     << " producer_parks=" << cursor_producer_parks
-     << " cursors_stale=" << cursors_stale
-     << " parallel_fallbacks=" << parallel_fallbacks;
-  for (const auto& [reason, count] : parallel_fallback_reasons) {
-    os << " fallback[" << reason << "]=" << count;
-  }
-  os << " reoptimizations=" << reoptimizations;
-  for (const auto& [reason, count] : reoptimization_reasons) {
-    os << " reopt[" << reason << "]=" << count;
-  }
-  for (const auto& [backend, count] : plan_cache_hits_by_backend) {
-    os << " cache_hits[" << backend << "]=" << count;
-  }
-  for (const auto& [backend, count] : plan_cache_misses_by_backend) {
-    os << " cache_misses[" << backend << "]=" << count;
-  }
-  os << " spill_written=" << spill_bytes_written
-     << " spill_read=" << spill_bytes_read
-     << " spill_files=" << spill_files_created
-     << " spill_partitions=" << spill_partitions_opened
-     << " spill_depth_max=" << spill_recursion_depth_max
-     << " spilled_queries=" << spilled_queries;
-  os << " queued_queries=" << queued_queries << " sheds=" << queries_shed;
-  for (const auto& [reason, count] : shed_reasons) {
-    os << " shed[" << reason << "]=" << count;
-  }
-  os << " shed_retries=" << query_shed_retries
-     << " watchdog_cancels=" << watchdog_cancels;
-  for (const auto& [reason, count] : watchdog_cancel_reasons) {
-    os << " watchdog[" << reason << "]=" << count;
-  }
-  for (const auto& [priority, count] : admitted_by_priority) {
-    os << " admitted[" << priority << "]=" << count;
-  }
-  os << " memory_ceiling_claimed=" << memory_ceiling_claimed_bytes
-     << " spill_disk_budget=" << spill_disk_budget_bytes
-     << " spill_disk_used=" << spill_disk_used_bytes
-     << " spill_disk_rejections=" << spill_disk_rejections
-     << " draining=" << (draining ? 1 : 0);
-  return os.str();
-}
 
 QueryService::QueryService(Database* db, const QueryServiceOptions& options)
     : db_(db),
@@ -222,64 +149,97 @@ QueryService::QueryService(Database* db, const QueryServiceOptions& options)
     spill_manager_ = std::make_shared<SpillManager>(spill_config);
   }
 
-  queries_submitted_ =
-      metrics_.counter("magicdb_server_queries_submitted_total");
-  queries_admitted_ = metrics_.counter("magicdb_server_queries_admitted_total");
-  queries_completed_ =
-      metrics_.counter("magicdb_server_queries_completed_total");
-  queries_failed_ = metrics_.counter("magicdb_server_queries_failed_total");
-  queries_cancelled_ =
-      metrics_.counter("magicdb_server_queries_cancelled_total");
-  deadlines_exceeded_ =
-      metrics_.counter("magicdb_server_deadline_exceeded_total");
+  using S = ServiceStats;
+  queries_submitted_ = Count("magicdb_server_queries_submitted_total",
+                             &S::queries_submitted);
+  queries_admitted_ = Count("magicdb_server_queries_admitted_total", nullptr,
+                            &S::admitted_by_priority);
+  queries_completed_ = Count("magicdb_server_queries_completed_total",
+                             &S::queries_completed);
+  queries_failed_ =
+      Count("magicdb_server_queries_failed_total", &S::queries_failed);
+  queries_cancelled_ = Count("magicdb_server_queries_cancelled_total",
+                             &S::queries_cancelled);
+  deadlines_exceeded_ = Count("magicdb_server_deadline_exceeded_total",
+                              &S::deadlines_exceeded);
   queries_resource_exhausted_ =
-      metrics_.counter("magicdb_server_queries_resource_exhausted_total");
-  query_ddl_retries_ =
-      metrics_.counter("magicdb_server_query_ddl_retries_total");
-  plan_cache_hits_ = metrics_.counter("magicdb_server_plan_cache_hits_total");
+      Count("magicdb_server_queries_resource_exhausted_total",
+            &S::queries_resource_exhausted);
+  query_ddl_retries_ = Count("magicdb_server_query_ddl_retries_total");
+  plan_cache_hits_ = Count("magicdb_server_plan_cache_hits_total",
+                           &S::plan_cache_hits, &S::plan_cache_hits_by_backend);
   plan_cache_misses_ =
-      metrics_.counter("magicdb_server_plan_cache_misses_total");
-  plan_instance_reuses_ =
-      metrics_.counter("magicdb_server_plan_instance_reuses_total");
-  sched_quanta_ = metrics_.counter("magicdb_server_sched_quanta_total");
-  morsels_stolen_ = metrics_.counter("magicdb_server_morsels_stolen_total");
+      Count("magicdb_server_plan_cache_misses_total", &S::plan_cache_misses,
+            &S::plan_cache_misses_by_backend);
+  plan_instance_reuses_ = Count("magicdb_server_plan_instance_reuses_total",
+                                &S::plan_instance_reuses);
+  sched_quanta_ =
+      Count("magicdb_server_sched_quanta_total", &S::sched_quanta);
   parallel_fallbacks_ =
-      metrics_.counter("magicdb_server_parallel_fallbacks_total");
-  reoptimizations_ = metrics_.counter("magicdb_server_reoptimizations_total");
-  cursors_opened_ = metrics_.counter("magicdb_server_cursors_opened_total");
-  open_cursors_ = metrics_.counter("magicdb_server_open_cursors");
-  rows_streamed_ = metrics_.counter("magicdb_server_rows_streamed_total");
-  cursor_parks_ =
-      metrics_.counter("magicdb_server_cursor_producer_parks_total");
-  cursors_stale_ = metrics_.counter("magicdb_server_cursors_stale_total");
-  spill_bytes_written_ = metrics_.counter("magicdb_spill_bytes_written_total");
-  spill_bytes_read_ = metrics_.counter("magicdb_spill_bytes_read_total");
-  spill_files_created_ = metrics_.counter("magicdb_spill_files_created_total");
-  spill_partitions_opened_ =
-      metrics_.counter("magicdb_spill_partitions_opened_total");
-  spill_recursion_depth_max_ =
-      metrics_.counter("magicdb_spill_recursion_depth_max");
-  spilled_queries_ = metrics_.counter("magicdb_spill_queries_total");
-  queries_shed_ = metrics_.counter("magicdb_server_sheds_total");
-  query_shed_retries_ =
-      metrics_.counter("magicdb_server_query_shed_retries_total");
+      Count("magicdb_server_parallel_fallbacks_total", &S::parallel_fallbacks,
+            &S::parallel_fallback_reasons);
+  reoptimizations_ =
+      Count("magicdb_server_reoptimizations_total", &S::reoptimizations,
+            &S::reoptimization_reasons);
+  cursors_opened_ =
+      Count("magicdb_server_cursors_opened_total", &S::cursors_opened);
+  open_cursors_ = Count("magicdb_server_open_cursors", &S::open_cursors);
+  rows_streamed_ =
+      Count("magicdb_server_rows_streamed_total", &S::rows_streamed);
+  cursor_parks_ = Count("magicdb_server_cursor_producer_parks_total",
+                        &S::cursor_producer_parks);
+  cursors_stale_ =
+      Count("magicdb_server_cursors_stale_total", &S::cursors_stale);
+  queries_shed_ = Count("magicdb_server_sheds_total", &S::queries_shed,
+                        &S::shed_reasons);
+  query_shed_retries_ = Count("magicdb_server_query_shed_retries_total",
+                              &S::query_shed_retries);
   watchdog_cancels_ =
-      metrics_.counter("magicdb_server_watchdog_cancels_total");
-  spill_disk_budget_bytes_ =
-      metrics_.counter("magicdb_spill_disk_budget_bytes");
-  spill_disk_used_bytes_ = metrics_.counter("magicdb_spill_disk_used_bytes");
-  spill_disk_rejections_ =
-      metrics_.counter("magicdb_spill_disk_rejections_total");
-  memory_ceiling_claimed_bytes_ =
-      metrics_.counter("magicdb_server_memory_ceiling_claimed_bytes");
+      Count("magicdb_server_watchdog_cancels_total", &S::watchdog_cancels,
+            &S::watchdog_cancel_reasons);
+  Gauge("magicdb_server_morsels_stolen_total", &S::morsels_stolen,
+        [this] { return pool_->steal_count(); });
+  Gauge("magicdb_server_memory_ceiling_claimed_bytes",
+        &S::memory_ceiling_claimed_bytes, [this] {
+          std::lock_guard<std::mutex> lock(admit_mu_);
+          return memory_ceiling_claimed_;
+        });
+  // The spill totals live on the SpillManager (operators bump them off the
+  // metrics hot path); without a spill area the series read 0.
+  const std::tuple<const char*, int64_t S::*, int64_t (SpillManager::*)() const>
+      spill[] = {
+          {"magicdb_spill_bytes_written_total", &S::spill_bytes_written,
+           &SpillManager::bytes_written},
+          {"magicdb_spill_bytes_read_total", &S::spill_bytes_read,
+           &SpillManager::bytes_read},
+          {"magicdb_spill_files_created_total", &S::spill_files_created,
+           &SpillManager::files_created},
+          {"magicdb_spill_partitions_opened_total", &S::spill_partitions_opened,
+           &SpillManager::partitions_opened},
+          {"magicdb_spill_recursion_depth_max", &S::spill_recursion_depth_max,
+           &SpillManager::max_recursion_depth_seen},
+          {"magicdb_spill_queries_total", &S::spilled_queries,
+           &SpillManager::spilled_queries},
+          {"magicdb_spill_disk_budget_bytes", &S::spill_disk_budget_bytes,
+           &SpillManager::disk_budget_bytes},
+          {"magicdb_spill_disk_used_bytes", &S::spill_disk_used_bytes,
+           &SpillManager::disk_used_bytes},
+          {"magicdb_spill_disk_rejections_total", &S::spill_disk_rejections,
+           &SpillManager::disk_budget_rejections},
+      };
+  for (const auto& [name, field, read] : spill) {
+    Gauge(name, field, [this, read = read]() -> int64_t {
+      return spill_manager_ == nullptr ? 0 : (*spill_manager_.*read)();
+    });
+  }
   admission_wait_us_ = metrics_.histogram("magicdb_server_admission_wait_us");
   for (int p = 0; p < kNumSessionPriorities; ++p) {
-    const std::string label =
-        SessionPriorityName(static_cast<SessionPriority>(p));
-    admission_wait_us_by_priority_[p] = metrics_.histogram(
-        "magicdb_server_admission_wait_us{priority=" + label + "}");
+    const MetricLabel label{
+        "priority", SessionPriorityName(static_cast<SessionPriority>(p))};
+    admission_wait_us_by_priority_[p] =
+        metrics_.histogram("magicdb_server_admission_wait_us", label);
     admitted_by_priority_[p] =
-        metrics_.counter(kAdmittedPriorityPrefix + label + "}");
+        metrics_.counter("magicdb_server_queries_admitted_total", label);
   }
   query_latency_us_ = metrics_.histogram("magicdb_server_query_latency_us");
   cursor_batch_wait_us_ =
@@ -381,7 +341,8 @@ int64_t QueryService::EstimateAdmissionWaitUsLocked() const {
 
 void QueryService::RecordShed(const char* reason) {
   queries_shed_->Increment();
-  metrics_.counter(kShedReasonPrefix + std::string(reason) + "}")->Increment();
+  metrics_.counter("magicdb_server_sheds_total", {"reason", reason})
+      ->Increment();
 }
 
 Status QueryService::MaybeShed(SessionPriority priority) {
@@ -586,7 +547,8 @@ void QueryService::WatchdogLoop() {
       const char* reason = state->sink.total_rows_pushed() == 0
                                ? "before_first_row"
                                : "mid_stream";
-      metrics_.counter(kWatchdogReasonPrefix + std::string(reason) + "}")
+      metrics_
+          .counter("magicdb_server_watchdog_cancels_total", {"reason", reason})
           ->Increment();
     }
   }
@@ -848,8 +810,10 @@ StatusOr<Cursor> QueryService::OpenAdmitted(Session* session,
         OptimizerOptionsFingerprint(opts) + "\n" + sql +
         "\nbatch=" + std::to_string(effective_batch) +
         "\nfeedback=" + std::to_string(db_->feedback_store()->version());
-    const std::string backend_label = SanitizeReasonLabel(
-        opts.join_order_backend.empty() ? "dp" : opts.join_order_backend);
+    const MetricLabel backend{
+        "backend", SanitizeReasonLabel(opts.join_order_backend.empty()
+                                           ? "dp"
+                                           : opts.join_order_backend)};
 
     // Parallel queries never reuse pooled instances (a gang needs fresh
     // replicas for shared-state wiring), so leave the pool untouched for
@@ -860,12 +824,12 @@ StatusOr<Cursor> QueryService::OpenAdmitted(Session* session,
                            want_instance ? &request.plan.root : nullptr);
     if (hit) {
       plan_cache_hits_->Increment();
-      metrics_.counter(kCacheHitBackendPrefix + backend_label + "}")
+      metrics_.counter("magicdb_server_plan_cache_hits_total", backend)
           ->Increment();
       if (request.plan.root != nullptr) plan_instance_reuses_->Increment();
     } else {
       plan_cache_misses_->Increment();
-      metrics_.counter(kCacheMissBackendPrefix + backend_label + "}")
+      metrics_.counter("magicdb_server_plan_cache_misses_total", backend)
           ->Increment();
       MAGICDB_ASSIGN_OR_RETURN(BoundSelect fresh_bound, db_->BindSelect(sql));
       MAGICDB_ASSIGN_OR_RETURN(
@@ -1145,122 +1109,67 @@ StatusOr<QueryResult> QueryService::QueryViaCursor(Session* session,
 void QueryService::RecordParallelFallback(const std::string& reason) {
   parallel_fallbacks_->Increment();
   metrics_
-      .counter(kFallbackMetricPrefix + SanitizeReasonLabel(reason) + "}")
+      .counter("magicdb_server_parallel_fallbacks_total",
+               {"reason", SanitizeReasonLabel(reason)})
       ->Increment();
 }
 
 void QueryService::RecordReoptimization(const std::string& reason) {
   reoptimizations_->Increment();
-  metrics_.counter(kReoptMetricPrefix + SanitizeReasonLabel(reason) + "}")
+  metrics_
+      .counter("magicdb_server_reoptimizations_total",
+               {"reason", SanitizeReasonLabel(reason)})
       ->Increment();
 }
 
-void QueryService::SyncSpillMetrics() const {
-  if (spill_manager_ == nullptr) return;
-  // The spill atomics live on the SpillManager (operators bump them off the
-  // metrics hot path); mirror them into the registry on read, like the
-  // pool's steal count.
-  spill_bytes_written_->Set(spill_manager_->bytes_written());
-  spill_bytes_read_->Set(spill_manager_->bytes_read());
-  spill_files_created_->Set(spill_manager_->files_created());
-  spill_partitions_opened_->Set(spill_manager_->partitions_opened());
-  spill_recursion_depth_max_->Set(spill_manager_->max_recursion_depth_seen());
-  spilled_queries_->Set(spill_manager_->spilled_queries());
-  spill_disk_budget_bytes_->Set(spill_manager_->disk_budget_bytes());
-  spill_disk_used_bytes_->Set(spill_manager_->disk_used_bytes());
-  spill_disk_rejections_->Set(spill_manager_->disk_budget_rejections());
+Counter* QueryService::Count(const char* name, int64_t ServiceStats::*field,
+                             StatsFamily family) {
+  stats_bindings_.push_back({name, field, family});
+  return metrics_.counter(name);
+}
+
+void QueryService::Gauge(const char* name, int64_t ServiceStats::*field,
+                         std::function<int64_t()> read) {
+  stats_bindings_.push_back({name, field, nullptr});
+  metrics_.gauge(name, std::move(read));
 }
 
 ServiceStats QueryService::StatsSnapshot() const {
-  morsels_stolen_->Set(pool_->steal_count());
-  SyncSpillMetrics();
   ServiceStats s;
+  for (const MetricSample& sample : metrics_.Samples()) {
+    for (const StatsBinding& b : stats_bindings_) {
+      if (sample.series.name != b.name) continue;
+      if (sample.series.label.key.empty()) {
+        if (b.field != nullptr) s.*b.field = sample.value;
+      } else if (b.family != nullptr) {
+        (s.*b.family)[sample.series.label.value] = sample.value;
+      }
+      break;
+    }
+  }
   s.pool_threads = pool_->size();
-  s.queries_submitted = queries_submitted_->Value();
-  s.queries_admitted = queries_admitted_->Value();
-  s.queries_completed = queries_completed_->Value();
-  s.queries_failed = queries_failed_->Value();
-  s.queries_cancelled = queries_cancelled_->Value();
-  s.deadlines_exceeded = deadlines_exceeded_->Value();
-  s.queries_resource_exhausted = queries_resource_exhausted_->Value();
-  s.query_ddl_retries = query_ddl_retries_->Value();
+  s.ddl_epoch = db_->catalog()->ddl_epoch();
   {
     std::lock_guard<std::mutex> lock(admit_mu_);
     s.active_queries = active_queries_;
     s.used_gang_slots = used_gang_slots_;
     s.queued_queries = static_cast<int>(QueuedLocked());
-    s.memory_ceiling_claimed_bytes = memory_ceiling_claimed_;
     s.draining = draining_;
   }
-  memory_ceiling_claimed_bytes_->Set(s.memory_ceiling_claimed_bytes);
-  s.queries_shed = queries_shed_->Value();
-  s.query_shed_retries = query_shed_retries_->Value();
-  s.watchdog_cancels = watchdog_cancels_->Value();
-  s.spill_disk_budget_bytes = spill_disk_budget_bytes_->Value();
-  s.spill_disk_used_bytes = spill_disk_used_bytes_->Value();
-  s.spill_disk_rejections = spill_disk_rejections_->Value();
-  s.plan_cache_hits = plan_cache_hits_->Value();
-  s.plan_cache_misses = plan_cache_misses_->Value();
-  s.plan_instance_reuses = plan_instance_reuses_->Value();
-  s.sched_quanta = sched_quanta_->Value();
-  s.morsels_stolen = morsels_stolen_->Value();
-  s.ddl_epoch = db_->catalog()->ddl_epoch();
-  s.cursors_opened = cursors_opened_->Value();
-  s.open_cursors = open_cursors_->Value();
-  s.rows_streamed = rows_streamed_->Value();
-  s.cursor_producer_parks = cursor_parks_->Value();
-  s.cursors_stale = cursors_stale_->Value();
-  s.parallel_fallbacks = parallel_fallbacks_->Value();
-  s.reoptimizations = reoptimizations_->Value();
-  s.spill_bytes_written = spill_bytes_written_->Value();
-  s.spill_bytes_read = spill_bytes_read_->Value();
-  s.spill_files_created = spill_files_created_->Value();
-  s.spill_partitions_opened = spill_partitions_opened_->Value();
-  s.spill_recursion_depth_max = spill_recursion_depth_max_->Value();
-  s.spilled_queries = spilled_queries_->Value();
-  // Labeled-counter families, recovered by prefix from the flat registry.
-  const std::pair<const char*, std::map<std::string, int64_t>*> families[] = {
-      {kFallbackMetricPrefix, &s.parallel_fallback_reasons},
-      {kReoptMetricPrefix, &s.reoptimization_reasons},
-      {kCacheHitBackendPrefix, &s.plan_cache_hits_by_backend},
-      {kCacheMissBackendPrefix, &s.plan_cache_misses_by_backend},
-      {kShedReasonPrefix, &s.shed_reasons},
-      {kWatchdogReasonPrefix, &s.watchdog_cancel_reasons},
-      {kAdmittedPriorityPrefix, &s.admitted_by_priority},
-  };
-  for (const auto& [name, value] : metrics_.CounterValues()) {
-    for (const auto& [family_prefix, out] : families) {
-      const std::string prefix = family_prefix;
-      if (name.size() > prefix.size() + 1 &&
-          name.compare(0, prefix.size(), prefix) == 0) {
-        const std::string label =
-            name.substr(prefix.size(), name.size() - prefix.size() - 1);
-        (*out)[label] = value;
-      }
-    }
-  }
-  s.admission_wait_us_p50 = admission_wait_us_->Quantile(0.50);
   s.admission_wait_us_p95 = admission_wait_us_->Quantile(0.95);
   for (int p = 0; p < kNumSessionPriorities; ++p) {
     if (admitted_by_priority_[p]->Value() == 0) continue;
-    const std::string label =
-        SessionPriorityName(static_cast<SessionPriority>(p));
-    s.admission_wait_us_p50_by_priority[label] =
-        admission_wait_us_by_priority_[p]->Quantile(0.50);
-    s.admission_wait_us_p95_by_priority[label] =
+    s.admission_wait_us_p95_by_priority[SessionPriorityName(
+        static_cast<SessionPriority>(p))] =
         admission_wait_us_by_priority_[p]->Quantile(0.95);
   }
   s.query_latency_us_p50 = query_latency_us_->Quantile(0.50);
   s.query_latency_us_p95 = query_latency_us_->Quantile(0.95);
   s.query_latency_us_p99 = query_latency_us_->Quantile(0.99);
-  s.cursor_batch_wait_us_p50 = cursor_batch_wait_us_->Quantile(0.50);
-  s.cursor_batch_wait_us_p95 = cursor_batch_wait_us_->Quantile(0.95);
   return s;
 }
 
 std::string QueryService::MetricsText() const {
-  morsels_stolen_->Set(pool_->steal_count());
-  SyncSpillMetrics();
   std::string text = metrics_.TextDump();
 #ifdef MAGICDB_FAILPOINTS
   // Failpoint builds export per-site fire counts so chaos runs can assert

@@ -7,6 +7,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -134,19 +135,19 @@ struct QueryServiceOptions {
   std::chrono::milliseconds watchdog_poll_interval{0};
 };
 
-/// Point-in-time view of the service counters (see also MetricsText()).
+/// Typed point-in-time view of the service metrics, built by StatsSnapshot()
+/// from the registry series (MetricsText() is their one text form) plus the
+/// live admission state. Labelled families appear as maps keyed by label
+/// value.
 struct ServiceStats {
   int pool_threads = 0;
   int64_t queries_submitted = 0;
-  int64_t queries_admitted = 0;
   int64_t queries_completed = 0;
   int64_t queries_failed = 0;
   int64_t queries_cancelled = 0;
   int64_t deadlines_exceeded = 0;
   /// Queries that failed their per-query memory limit (kResourceExhausted).
   int64_t queries_resource_exhausted = 0;
-  /// DDL-staleness replans Query() performed (each with backoff).
-  int64_t query_ddl_retries = 0;
   int64_t plan_cache_hits = 0;
   int64_t plan_cache_misses = 0;
   int64_t plan_instance_reuses = 0;
@@ -209,19 +210,13 @@ struct ServiceStats {
   bool draining = false;
   /// Admissions broken down by priority class (weighted-fairness checks).
   std::map<std::string, int64_t> admitted_by_priority;
-  /// Per-priority admission-wait quantiles (microseconds), keyed by class
-  /// name; present once a class has admitted at least one query.
-  std::map<std::string, double> admission_wait_us_p50_by_priority;
+  /// Per-priority admission-wait p95 (microseconds), keyed by class name;
+  /// present once a class has admitted at least one query.
   std::map<std::string, double> admission_wait_us_p95_by_priority;
-  double admission_wait_us_p50 = 0.0;
   double admission_wait_us_p95 = 0.0;
   double query_latency_us_p50 = 0.0;
   double query_latency_us_p95 = 0.0;
   double query_latency_us_p99 = 0.0;
-  double cursor_batch_wait_us_p50 = 0.0;
-  double cursor_batch_wait_us_p95 = 0.0;
-
-  std::string ToString() const;
 };
 
 /// Concurrent query service over one Database: the missing layer between
@@ -414,9 +409,16 @@ class QueryService {
   /// kReoptimizeRequested status message).
   void RecordReoptimization(const std::string& reason);
 
-  /// Copies the SpillManager's atomics into the magicdb_spill_* mirror
-  /// counters (no-op without a spill area).
-  void SyncSpillMetrics() const;
+  /// Registers a counter series once, binding it to the ServiceStats field
+  /// StatsSnapshot fills from it (null: MetricsText only); its labelled
+  /// series land in `family`, keyed by label value.
+  using StatsFamily = std::map<std::string, int64_t> ServiceStats::*;
+  Counter* Count(const char* name, int64_t ServiceStats::*field = nullptr,
+                 StatsFamily family = nullptr);
+  /// Registers a read-through gauge for a value that lives elsewhere (the
+  /// pool, the spill area, the admission state), bound like Count's.
+  void Gauge(const char* name, int64_t ServiceStats::*field,
+             std::function<int64_t()> read);
 
   Database* db_;
   QueryServiceOptions options_;
@@ -479,7 +481,16 @@ class QueryService {
   std::atomic<int64_t> next_session_id_{1};
 
   MetricsRegistry metrics_;
-  // Hot-path metric pointers (stable; registry owns them).
+  /// Series -> ServiceStats field bindings; built by the constructor,
+  /// read-only afterwards.
+  struct StatsBinding {
+    std::string name;
+    int64_t ServiceStats::*field;
+    StatsFamily family;
+  };
+  std::vector<StatsBinding> stats_bindings_;
+  // Hot-path metric pointers (stable; registry owns them). Values that live
+  // elsewhere (steal count, spill totals, memory-ceiling claim) are gauges.
   Counter* queries_submitted_;
   Counter* queries_admitted_;
   Counter* queries_completed_;
@@ -492,7 +503,6 @@ class QueryService {
   Counter* plan_cache_misses_;
   Counter* plan_instance_reuses_;
   Counter* sched_quanta_;
-  Counter* morsels_stolen_;
   Counter* parallel_fallbacks_;
   Counter* reoptimizations_;
   Counter* cursors_opened_;
@@ -500,25 +510,9 @@ class QueryService {
   Counter* rows_streamed_;
   Counter* cursor_parks_;
   Counter* cursors_stale_;
-  // Spill series: mirrors of the SpillManager atomics (set, not
-  // incremented, in StatsSnapshot/MetricsText) plus the spilled-query
-  // count the service tracks itself at cursor close.
-  Counter* spill_bytes_written_;
-  Counter* spill_bytes_read_;
-  Counter* spill_files_created_;
-  Counter* spill_partitions_opened_;
-  Counter* spill_recursion_depth_max_;
-  Counter* spilled_queries_;
-  // Overload-resilience series: sheds, shed retries, watchdog kills, spill
-  // disk budget gauges (mirrored from the SpillManager like the other
-  // spill counters), and the memory-ceiling claim gauge.
   Counter* queries_shed_;
   Counter* query_shed_retries_;
   Counter* watchdog_cancels_;
-  Counter* spill_disk_budget_bytes_;
-  Counter* spill_disk_used_bytes_;
-  Counter* spill_disk_rejections_;
-  Counter* memory_ceiling_claimed_bytes_;
   LatencyHistogram* admission_wait_us_;
   /// Per-priority admission-wait histograms, indexed by SessionPriority.
   std::array<LatencyHistogram*, kNumSessionPriorities>

@@ -11,6 +11,7 @@
 #include "src/common/logging.h"
 #include "src/common/random.h"
 #include "src/db/database.h"
+#include "tests/test_util.h"
 
 namespace magicdb {
 namespace {
@@ -222,16 +223,7 @@ void ExpectRowsIdentical(const std::vector<Tuple>& a,
   }
 }
 
-void ExpectCountersEqual(const CostCounters& a, const CostCounters& b) {
-  EXPECT_EQ(a.pages_read, b.pages_read);
-  EXPECT_EQ(a.pages_written, b.pages_written);
-  EXPECT_EQ(a.tuples_processed, b.tuples_processed);
-  EXPECT_EQ(a.exprs_evaluated, b.exprs_evaluated);
-  EXPECT_EQ(a.hash_operations, b.hash_operations);
-  EXPECT_EQ(a.messages_sent, b.messages_sent);
-  EXPECT_EQ(a.bytes_shipped, b.bytes_shipped);
-  EXPECT_EQ(a.function_invocations, b.function_invocations);
-}
+using testutil::ExpectCountersEqual;
 
 TEST(ReoptimizationTest, CorrelatedPredicateTriggersAndShrinksQError) {
   Database db;

@@ -516,9 +516,6 @@ TEST(OverloadTest, MetricsTextExposesOverloadSeries) {
   EXPECT_GE(stats.admitted_by_priority.at("high"), 1);
   EXPECT_GE(stats.admitted_by_priority.at("normal"), 1);
   EXPECT_GE(stats.admission_wait_us_p95_by_priority.at("normal"), 0.0);
-  const std::string text = stats.ToString();
-  EXPECT_NE(text.find("shed[queue_depth]=1"), std::string::npos);
-  EXPECT_NE(text.find("draining=0"), std::string::npos);
 
   // The same series, parsed back out of the Prometheus text dump.
   const std::string dump = service.MetricsText();
@@ -534,6 +531,31 @@ TEST(OverloadTest, MetricsTextExposesOverloadSeries) {
       MetricValue(dump, "magicdb_server_memory_ceiling_claimed_bytes"), 0);
   EXPECT_NE(dump.find("magicdb_server_admission_wait_us{priority=normal}"),
             std::string::npos);
+}
+
+// The memory-ceiling claim is a read-through gauge: MetricsText() reports
+// the live claim without a prior StatsSnapshot(), and agrees with it.
+TEST(OverloadTest, MemoryCeilingGaugeIsCurrentWithoutSnapshot) {
+  Database db;
+  MakeWorkload(&db);
+  QueryServiceOptions so;
+  so.pool_threads = 2;
+  so.shed_queue_depth = -1;  // explicitly off
+  so.service_memory_ceiling_bytes = 1 << 20;
+  QueryService service(&db, so);
+  std::unique_ptr<Session> session = service.CreateSession();
+
+  ExecOptions governed;
+  governed.memory_limit_bytes = 700 * 1024;
+  auto cursor = session->Open(kJoinQuery, governed);
+  ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
+  const char* kGauge = "magicdb_server_memory_ceiling_claimed_bytes";
+  EXPECT_EQ(MetricValue(service.MetricsText(), kGauge), 700 * 1024);
+  EXPECT_EQ(service.StatsSnapshot().memory_ceiling_claimed_bytes, 700 * 1024);
+
+  DrainAndClose(&*cursor);
+  EXPECT_EQ(MetricValue(service.MetricsText(), kGauge), 0);
+  EXPECT_EQ(service.StatsSnapshot().memory_ceiling_claimed_bytes, 0);
 }
 
 // ----- weighted-fair admission under saturation -----

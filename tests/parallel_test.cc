@@ -115,16 +115,7 @@ TEST(MorselTest, ConcurrentClaimsCoverEveryRowExactlyOnce) {
 
 // ----- End-to-end parallel execution -----
 
-void ExpectCountersEqual(const CostCounters& a, const CostCounters& b) {
-  EXPECT_EQ(a.pages_read, b.pages_read);
-  EXPECT_EQ(a.pages_written, b.pages_written);
-  EXPECT_EQ(a.tuples_processed, b.tuples_processed);
-  EXPECT_EQ(a.exprs_evaluated, b.exprs_evaluated);
-  EXPECT_EQ(a.hash_operations, b.hash_operations);
-  EXPECT_EQ(a.messages_sent, b.messages_sent);
-  EXPECT_EQ(a.bytes_shipped, b.bytes_shipped);
-  EXPECT_EQ(a.function_invocations, b.function_invocations);
-}
+using testutil::ExpectCountersEqual;
 
 void ExpectRowsIdentical(const std::vector<Tuple>& a,
                          const std::vector<Tuple>& b) {

@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -24,16 +25,7 @@
 namespace magicdb {
 namespace {
 
-void ExpectCountersEqual(const CostCounters& a, const CostCounters& b) {
-  EXPECT_EQ(a.pages_read, b.pages_read);
-  EXPECT_EQ(a.pages_written, b.pages_written);
-  EXPECT_EQ(a.tuples_processed, b.tuples_processed);
-  EXPECT_EQ(a.exprs_evaluated, b.exprs_evaluated);
-  EXPECT_EQ(a.hash_operations, b.hash_operations);
-  EXPECT_EQ(a.messages_sent, b.messages_sent);
-  EXPECT_EQ(a.bytes_shipped, b.bytes_shipped);
-  EXPECT_EQ(a.function_invocations, b.function_invocations);
-}
+using testutil::ExpectCountersEqual;
 
 bool RowsIdentical(const std::vector<Tuple>& a, const std::vector<Tuple>& b) {
   if (a.size() != b.size()) return false;
@@ -163,6 +155,113 @@ TEST(ServerStressTest, ConcurrentSessionsMatchSequentialBaseline) {
   EXPECT_LE(stats.plan_cache_misses, kNumQueries * kSessions);
   EXPECT_EQ(stats.plan_cache_hits + stats.plan_cache_misses,
             kSessions * kRounds);
+}
+
+/// The never-decreasing series of a MetricsText() dump: every `_total`
+/// counter or gauge, plus each histogram's observation count (keyed
+/// `name#count`).
+std::map<std::string, int64_t> MonotoneSeries(const std::string& dump) {
+  std::map<std::string, int64_t> out;
+  size_t pos = 0;
+  while (pos < dump.size()) {
+    size_t end = dump.find('\n', pos);
+    if (end == std::string::npos) end = dump.size();
+    const std::string line = dump.substr(pos, end - pos);
+    pos = end + 1;
+    const size_t space = line.find(' ');
+    if (space == std::string::npos) continue;
+    const std::string name = line.substr(0, space);
+    const std::string rest = line.substr(space + 1);
+    if (rest.rfind("count=", 0) == 0) {
+      out[name + "#count"] = std::stoll(rest.substr(6));
+    } else if (name.find("_total") != std::string::npos) {
+      out[name] = std::stoll(rest);
+    }
+  }
+  return out;
+}
+
+// Scrapes race queries: MetricsText() and StatsSnapshot() run in a loop
+// while four sessions (two at DoP 4) run queries. The read-through gauges
+// take service locks, so this doubles as the TSAN check for scrape paths.
+// Every counter must be monotone across scrapes and the final completed
+// count exact.
+TEST(ServerStressTest, ConcurrentScrapesSeeMonotoneCounters) {
+  Database db;
+  MakeWorkload(&db);
+  QueryServiceOptions so;
+  so.pool_threads = 4;
+  so.max_concurrent_queries = 4;
+  so.shed_queue_depth = -1;  // explicitly off: every query must complete
+  QueryService service(&db, so);
+
+  constexpr int kSessions = 4;
+  constexpr int kRounds = 10;
+  std::vector<std::unique_ptr<Session>> sessions;
+  for (int s = 0; s < kSessions; ++s) {
+    sessions.push_back(service.CreateSession());
+  }
+  std::atomic<int> failures{0};
+  std::atomic<bool> done{false};
+  std::vector<std::thread> threads;
+  for (int s = 0; s < kSessions; ++s) {
+    threads.emplace_back([&, s] {
+      ExecOptions exec;
+      exec.dop = s < 2 ? 4 : 1;
+      exec.memory_limit_bytes = -1;  // ungoverned under any env sweep
+      for (int round = 0; round < kRounds; ++round) {
+        if (!sessions[s]->Query(kQueries[(s + round) % kNumQueries], exec)
+                 .ok()) {
+          failures.fetch_add(1);
+        }
+      }
+    });
+  }
+
+  int scrapes = 0;
+  std::vector<std::string> regressions;
+  std::map<std::string, int64_t> last_text;
+  ServiceStats last_stats;
+  auto scrape = [&] {
+    for (const auto& [name, value] : MonotoneSeries(service.MetricsText())) {
+      auto it = last_text.find(name);
+      if (it != last_text.end() && value < it->second) {
+        regressions.push_back(name);
+      }
+      last_text[name] = value;
+    }
+    const ServiceStats stats = service.StatsSnapshot();
+    const std::pair<const char*, int64_t ServiceStats::*> fields[] = {
+        {"queries_submitted", &ServiceStats::queries_submitted},
+        {"queries_completed", &ServiceStats::queries_completed},
+        {"plan_cache_hits", &ServiceStats::plan_cache_hits},
+        {"plan_cache_misses", &ServiceStats::plan_cache_misses},
+        {"sched_quanta", &ServiceStats::sched_quanta},
+        {"morsels_stolen", &ServiceStats::morsels_stolen},
+        {"cursors_opened", &ServiceStats::cursors_opened},
+        {"rows_streamed", &ServiceStats::rows_streamed},
+        {"parallel_fallbacks", &ServiceStats::parallel_fallbacks},
+    };
+    for (const auto& [name, field] : fields) {
+      if (stats.*field < last_stats.*field) regressions.push_back(name);
+    }
+    last_stats = stats;
+    ++scrapes;
+  };
+  std::thread scraper([&] {
+    while (!done.load()) scrape();
+  });
+  for (auto& t : threads) t.join();
+  done.store(true);
+  scraper.join();
+  scrape();
+
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_TRUE(regressions.empty()) << regressions.front();
+  EXPECT_GT(scrapes, 1);
+  EXPECT_EQ(last_stats.queries_completed, kSessions * kRounds);
+  EXPECT_EQ(last_stats.queries_failed, 0);
+  EXPECT_EQ(last_stats.open_cursors, 0);
 }
 
 TEST(ServerStressTest, SlowQueryHitsDeadlineWhileNeighborsComplete) {

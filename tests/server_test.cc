@@ -7,6 +7,7 @@
 #include <chrono>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -33,8 +34,6 @@ TEST(MetricsTest, CounterAccumulates) {
   c.Increment();
   c.Add(41);
   EXPECT_EQ(c.Value(), 42);
-  c.Set(7);
-  EXPECT_EQ(c.Value(), 7);
 }
 
 TEST(MetricsTest, HistogramQuantilesBracketObservations) {
@@ -171,16 +170,7 @@ TEST(CatalogEpochTest, DdlAndAnalyzeBumpEpoch) {
 
 // ----- QueryService / Session -----
 
-void ExpectCountersEqual(const CostCounters& a, const CostCounters& b) {
-  EXPECT_EQ(a.pages_read, b.pages_read);
-  EXPECT_EQ(a.pages_written, b.pages_written);
-  EXPECT_EQ(a.tuples_processed, b.tuples_processed);
-  EXPECT_EQ(a.exprs_evaluated, b.exprs_evaluated);
-  EXPECT_EQ(a.hash_operations, b.hash_operations);
-  EXPECT_EQ(a.messages_sent, b.messages_sent);
-  EXPECT_EQ(a.bytes_shipped, b.bytes_shipped);
-  EXPECT_EQ(a.function_invocations, b.function_invocations);
-}
+using testutil::ExpectCountersEqual;
 
 void ExpectRowsIdentical(const std::vector<Tuple>& a,
                          const std::vector<Tuple>& b) {
@@ -338,10 +328,11 @@ TEST(QueryServiceTest, ParallelFallbacksAreCounted) {
       stats.parallel_fallback_reasons.at("unsupported_operator_in_pipeline"),
       1);
   EXPECT_EQ(stats.parallel_fallback_reasons.at("limit_clause"), 1);
-  EXPECT_NE(stats.ToString().find("parallel_fallbacks=2"), std::string::npos);
-  EXPECT_NE(service.MetricsText().find(
-                "magicdb_server_parallel_fallbacks_total{reason="
-                "limit_clause}"),
+  const std::string dump = service.MetricsText();
+  EXPECT_NE(dump.find("magicdb_server_parallel_fallbacks_total 2\n"),
+            std::string::npos);
+  EXPECT_NE(dump.find("magicdb_server_parallel_fallbacks_total{reason="
+                      "limit_clause}"),
             std::string::npos);
 }
 
@@ -586,7 +577,7 @@ TEST(QueryServiceTest, ReoptimizationSurfacesInStatsAndResult) {
   EXPECT_GE(stats.reoptimizations, 2);
   // The trigger site is the metric's reason label.
   EXPECT_GT(stats.reoptimization_reasons.count("hash_join_build"), 0u)
-      << stats.ToString();
+      << service.MetricsText();
   // Plan-cache traffic is attributed to the join-order backend in use.
   int64_t dp_cache_traffic = 0;
   for (const auto& [backend, n] : stats.plan_cache_hits_by_backend) {
@@ -602,6 +593,144 @@ TEST(QueryServiceTest, ReoptimizationSurfacesInStatsAndResult) {
   EXPECT_NE(dump.find("magicdb_server_reoptimizations_total{reason="),
             std::string::npos)
       << dump;
+}
+
+/// The series of a MetricsText() dump in order (each line up to its first
+/// space), without the failpoint builds' per-site lines.
+std::vector<std::string> SeriesOf(const std::string& dump) {
+  std::vector<std::string> series;
+  size_t pos = 0;
+  while (pos < dump.size()) {
+    size_t end = dump.find('\n', pos);
+    if (end == std::string::npos) end = dump.size();
+    std::string name = dump.substr(pos, dump.find(' ', pos) - pos);
+    if (name.rfind("magicdb_failpoint_", 0) != 0) series.push_back(name);
+    pos = end + 1;
+  }
+  return series;
+}
+
+// Pins the exposition: the exact series, labels and order MetricsText()
+// lists after a cache miss, a cache hit, a DoP-4 query that falls back
+// (LIMIT), a re-plan, one shed and one governed query. Every option the
+// environment sweeps could change (shed depth, memory limits, re-plan
+// threshold) is set explicitly.
+TEST(QueryServiceTest, MetricsTextListsPinnedSeries) {
+  Database db;
+  MakeCorrelatedFactDim(&db);
+  const char* sql = kCorrelatedJoinQuery;
+
+  QueryServiceOptions so;
+  so.pool_threads = 4;
+  so.max_concurrent_queries = 1;
+  so.shed_queue_depth = 1;
+  so.service_memory_ceiling_bytes = 1 << 20;
+  QueryService service(&db, so);
+  SessionOptions high;
+  high.priority = SessionPriority::kHigh;
+  SessionOptions background;
+  background.priority = SessionPriority::kBackground;
+  std::unique_ptr<Session> session = service.CreateSession(high);
+  std::unique_ptr<Session> waiter = service.CreateSession();
+  std::unique_ptr<Session> shed_me = service.CreateSession(background);
+
+  ExecOptions plain;
+  plain.reoptimize_qerror_threshold = 0.0;
+  plain.memory_limit_bytes = -1;
+  ASSERT_TRUE(session->Query(sql, plain).ok());  // cache miss
+  ASSERT_TRUE(session->Query(sql, plain).ok());  // cache hit
+  ExecOptions parallel = plain;
+  parallel.dop = 4;
+  auto limited = session->Query("SELECT F.k FROM Fact F LIMIT 5", parallel);
+  ASSERT_TRUE(limited.ok()) << limited.status().ToString();
+  EXPECT_EQ(limited->parallel_fallback_reason, "LIMIT clause");
+  ExecOptions adaptive = plain;
+  adaptive.reoptimize_qerror_threshold = 2.0;
+  auto replanned = session->Query(sql, adaptive);
+  ASSERT_TRUE(replanned.ok()) << replanned.status().ToString();
+  EXPECT_GE(replanned->reoptimizations, 1);
+  ExecOptions governed = plain;
+  governed.memory_limit_bytes = 700 << 10;
+  ASSERT_TRUE(session->Query(sql, governed).ok());
+
+  // One shed: the held cursor owns the only ticket, a waiter queues behind
+  // it, and a background submission meets the full queue.
+  auto drain_and_close = [](Cursor* cursor) {
+    while (true) {
+      auto batch = cursor->Fetch(4096);
+      ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+      if (batch->empty()) break;
+    }
+    MAGICDB_CHECK_OK(cursor->Close());
+  };
+  auto held = session->Open(sql, plain);
+  ASSERT_TRUE(held.ok()) << held.status().ToString();
+  std::thread waiter_thread([&] {
+    auto cursor = waiter->Open(sql, plain);
+    ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
+    drain_and_close(&*cursor);
+  });
+  for (int i = 0; i < 2000 && service.StatsSnapshot().queued_queries < 1;
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  auto shed = shed_me->Open(sql, plain);
+  EXPECT_EQ(shed.status().code(), StatusCode::kUnavailable);
+  drain_and_close(&*held);
+  waiter_thread.join();
+
+  const std::vector<std::string> expected = {
+      "magicdb_server_cursor_producer_parks_total",
+      "magicdb_server_cursors_opened_total",
+      "magicdb_server_cursors_stale_total",
+      "magicdb_server_deadline_exceeded_total",
+      "magicdb_server_memory_ceiling_claimed_bytes",
+      "magicdb_server_morsels_stolen_total",
+      "magicdb_server_open_cursors",
+      "magicdb_server_parallel_fallbacks_total",
+      "magicdb_server_parallel_fallbacks_total{reason=limit_clause}",
+      "magicdb_server_plan_cache_hits_total",
+      "magicdb_server_plan_cache_hits_total{backend=dp}",
+      "magicdb_server_plan_cache_misses_total",
+      "magicdb_server_plan_cache_misses_total{backend=dp}",
+      "magicdb_server_plan_instance_reuses_total",
+      "magicdb_server_queries_admitted_total",
+      "magicdb_server_queries_admitted_total{priority=background}",
+      "magicdb_server_queries_admitted_total{priority=high}",
+      "magicdb_server_queries_admitted_total{priority=normal}",
+      "magicdb_server_queries_cancelled_total",
+      "magicdb_server_queries_completed_total",
+      "magicdb_server_queries_failed_total",
+      "magicdb_server_queries_resource_exhausted_total",
+      "magicdb_server_queries_submitted_total",
+      "magicdb_server_query_ddl_retries_total",
+      "magicdb_server_query_shed_retries_total",
+      "magicdb_server_reoptimizations_total",
+      "magicdb_server_reoptimizations_total{reason=hash_join_build}",
+      "magicdb_server_rows_streamed_total",
+      "magicdb_server_sched_quanta_total",
+      "magicdb_server_sheds_total",
+      "magicdb_server_sheds_total{reason=queue_depth}",
+      "magicdb_server_watchdog_cancels_total",
+      "magicdb_spill_bytes_read_total",
+      "magicdb_spill_bytes_written_total",
+      "magicdb_spill_disk_budget_bytes",
+      "magicdb_spill_disk_rejections_total",
+      "magicdb_spill_disk_used_bytes",
+      "magicdb_spill_files_created_total",
+      "magicdb_spill_partitions_opened_total",
+      "magicdb_spill_queries_total",
+      "magicdb_spill_recursion_depth_max",
+      "magicdb_server_admission_wait_us",
+      "magicdb_server_admission_wait_us{priority=background}",
+      "magicdb_server_admission_wait_us{priority=high}",
+      "magicdb_server_admission_wait_us{priority=normal}",
+      "magicdb_server_cursor_batch_wait_us",
+      "magicdb_server_query_latency_us",
+      "magicdb_server_query_memory_bytes",
+  };
+  const std::string dump = service.MetricsText();
+  EXPECT_EQ(SeriesOf(dump), expected) << dump;
 }
 
 // Database::Run and a service cursor are two callers of one query driver:

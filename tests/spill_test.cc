@@ -482,8 +482,8 @@ TEST(SpillExecutionTest, RecursiveRepartitioningSplitsOversizedPartitions) {
   ASSERT_TRUE(governed.ok()) << governed.status().ToString();
   ExpectRowsIdentical(governed->rows, baseline->rows);
   ServiceStats stats = service.StatsSnapshot();
-  EXPECT_GE(stats.spill_recursion_depth_max, 1) << stats.ToString();
-  EXPECT_GT(stats.spill_partitions_opened, 8) << stats.ToString();
+  EXPECT_GE(stats.spill_recursion_depth_max, 1) << service.MetricsText();
+  EXPECT_GT(stats.spill_partitions_opened, 8) << service.MetricsText();
 }
 
 TEST(SpillExecutionTest, SingleGiantKeyExhaustsRecursionAndFailsCleanly) {

@@ -4,6 +4,9 @@
 #include <algorithm>
 #include <vector>
 
+#include <gtest/gtest.h>
+
+#include "src/common/cost_counters.h"
 #include "src/types/tuple.h"
 
 namespace magicdb::testutil {
@@ -27,6 +30,21 @@ inline bool SameMultiset(std::vector<Tuple> a, std::vector<Tuple> b) {
     if (CompareTuples(a[i], b[i]) != 0) return false;
   }
   return true;
+}
+
+/// Expects every CostCounters field of `a` and `b` to be equal: the exact
+/// cost-identity check between two executions of the same query.
+inline void ExpectCountersEqual(const CostCounters& a, const CostCounters& b) {
+  EXPECT_EQ(a.pages_read, b.pages_read);
+  EXPECT_EQ(a.pages_written, b.pages_written);
+  EXPECT_EQ(a.tuples_processed, b.tuples_processed);
+  EXPECT_EQ(a.exprs_evaluated, b.exprs_evaluated);
+  EXPECT_EQ(a.hash_operations, b.hash_operations);
+  EXPECT_EQ(a.messages_sent, b.messages_sent);
+  EXPECT_EQ(a.bytes_shipped, b.bytes_shipped);
+  EXPECT_EQ(a.function_invocations, b.function_invocations);
+  EXPECT_EQ(a.spill_bytes_written, b.spill_bytes_written);
+  EXPECT_EQ(a.spill_bytes_read, b.spill_bytes_read);
 }
 
 }  // namespace magicdb::testutil

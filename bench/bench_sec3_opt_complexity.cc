@@ -3,12 +3,19 @@
 // number of join inputs and reports optimizer effort (DP entries, join
 // steps costed, planning time) for a classic System R, the paper's
 // proposal, and the Limitation-2 ablation (prefix production sets), whose
-// extra O(N) factor becomes visible in the step counts.
+// extra O(N) factor becomes visible in the step counts. Planning times are
+// min/median/max over kRepetitions fresh optimizers; the effort counts are
+// exact and must not vary between repetitions. Two row sets: stars whose
+// every dimension is an aggregating view, and stars over the dimension mix
+// of magicbench's views_adhoc workload (2 aggregating views, 2 projection
+// views, 2 stored tables).
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <iostream>
+#include <vector>
 
 #include "src/common/logging.h"
 #include "src/optimizer/optimizer.h"
@@ -18,37 +25,87 @@
 namespace magicdb::bench {
 namespace {
 
+constexpr int kRepetitions = 15;
+
 struct Effort {
-  int64_t steps;
-  int64_t dp_entries;
-  int64_t filter_joins;
-  int64_t micros;
+  int64_t steps = 0;
+  int64_t dp_entries = 0;
+  int64_t filter_joins = 0;
+  /// Planning wall-clock over the repetitions, microseconds.
+  double min_us = 0;
+  double median_us = 0;
+  double max_us = 0;
+
+  std::string Times() const {
+    return std::to_string(static_cast<int64_t>(min_us)) + "/" +
+           std::to_string(static_cast<int64_t>(median_us)) + "/" +
+           std::to_string(static_cast<int64_t>(max_us));
+  }
 };
 
 Effort MeasurePlanning(Database* db, const std::string& query,
                        const OptimizerOptions& opts) {
   auto logical = db->Bind(query);
   MAGICDB_CHECK_OK(logical.status());
-  Optimizer optimizer(db->catalog(), opts);
-  const auto start = std::chrono::steady_clock::now();
-  auto plan = optimizer.Optimize(*logical);
-  const auto micros = std::chrono::duration_cast<std::chrono::microseconds>(
-                          std::chrono::steady_clock::now() - start)
-                          .count();
-  MAGICDB_CHECK_OK(plan.status());
-  return {optimizer.stats().join_steps_costed, optimizer.stats().dp_entries,
-          optimizer.stats().filter_joins_costed, micros};
+  Effort effort;
+  std::vector<double> micros;
+  for (int rep = 0; rep < kRepetitions; ++rep) {
+    Optimizer optimizer(db->catalog(), opts);
+    const auto start = std::chrono::steady_clock::now();
+    auto plan = optimizer.Optimize(*logical);
+    micros.push_back(std::chrono::duration<double, std::micro>(
+                         std::chrono::steady_clock::now() - start)
+                         .count());
+    MAGICDB_CHECK_OK(plan.status());
+    const OptimizerStats& stats = optimizer.stats();
+    if (rep == 0) {
+      effort.steps = stats.join_steps_costed;
+      effort.dp_entries = stats.dp_entries;
+      effort.filter_joins = stats.filter_joins_costed;
+    }
+    MAGICDB_CHECK(stats.join_steps_costed == effort.steps &&
+                  stats.dp_entries == effort.dp_entries &&
+                  stats.filter_joins_costed == effort.filter_joins);
+  }
+  std::sort(micros.begin(), micros.end());
+  effort.min_us = micros.front();
+  effort.median_us = micros[micros.size() / 2];
+  effort.max_us = micros.back();
+  return effort;
+}
+
+void AddRow(TablePrinter* table, const std::string& label, Database* db,
+            const std::string& query) {
+  OptimizerOptions no_fj;
+  no_fj.magic_mode = OptimizerOptions::MagicMode::kNever;
+  const Effort a = MeasurePlanning(db, query, no_fj);
+
+  OptimizerOptions with_fj;  // paper defaults: Limitations 1-3 applied
+  const Effort b = MeasurePlanning(db, query, with_fj);
+
+  OptimizerOptions prefixes = with_fj;
+  prefixes.explore_prefix_production_sets = true;
+  const Effort c = MeasurePlanning(db, query, prefixes);
+
+  table->AddRow({label, std::to_string(a.steps), a.Times(),
+                 std::to_string(b.steps), b.Times(), std::to_string(c.steps),
+                 c.Times(),
+                 FormatCost(static_cast<double>(c.filter_joins) /
+                            std::max<int64_t>(1, b.filter_joins))});
 }
 
 void PrintComplexityTable() {
   std::cout << "=== E7 / Section 3: optimization effort vs number of join "
                "inputs ===\n"
-            << "star join of Fact with N dimension views; steps = (subset, "
-               "inner, method) combinations costed\n\n";
+            << "star join of Fact with N-1 dimensions; steps = (subset, "
+               "inner, method) combinations costed; us = planning time "
+               "min/median/max over "
+            << kRepetitions << " runs\n\n";
   TablePrinter table({"N inputs", "no FJ: steps", "no FJ: us",
                       "FJ+Limits: steps", "FJ+Limits: us",
                       "FJ+prefixes: steps", "FJ+prefixes: us",
                       "prefix/limit step ratio"});
+  // Every dimension an aggregating view.
   for (int dims : {2, 3, 4, 5, 6, 7}) {
     StarOptions sopts;
     sopts.num_dims = dims;
@@ -56,25 +113,20 @@ void PrintComplexityTable() {
     sopts.dim_rows = 50;
     sopts.view_dims = dims;  // every dimension is a virtual relation
     auto db = MakeStarDatabase(sopts);
-    const std::string query = StarQuery(dims);
-
-    OptimizerOptions no_fj;
-    no_fj.magic_mode = OptimizerOptions::MagicMode::kNever;
-    Effort a = MeasurePlanning(db.get(), query, no_fj);
-
-    OptimizerOptions with_fj;  // paper defaults: Limitations 1-3 applied
-    Effort b = MeasurePlanning(db.get(), query, with_fj);
-
-    OptimizerOptions prefixes = with_fj;
-    prefixes.explore_prefix_production_sets = true;
-    Effort c = MeasurePlanning(db.get(), query, prefixes);
-
-    table.AddRow({std::to_string(dims + 1), std::to_string(a.steps),
-                  std::to_string(a.micros), std::to_string(b.steps),
-                  std::to_string(b.micros), std::to_string(c.steps),
-                  std::to_string(c.micros),
-                  FormatCost(static_cast<double>(c.filter_joins) /
-                             std::max<int64_t>(1, b.filter_joins))});
+    AddRow(&table, std::to_string(dims + 1), db.get(), StarQuery(dims));
+  }
+  // The views_adhoc dimension mix, joined one dimension at a time: Dim0-1
+  // aggregating views, Dim2-3 projection views, Dim4-5 stored tables.
+  StarOptions mix;
+  mix.num_dims = 6;
+  mix.fact_rows = 500;
+  mix.dim_rows = 50;
+  mix.view_dims = 2;
+  mix.stored_dims = 2;
+  auto mix_db = MakeStarDatabase(mix);
+  for (int dims : {2, 3, 4, 5, 6}) {
+    AddRow(&table, std::to_string(dims + 1) + " (mix)", mix_db.get(),
+           StarQuery(dims));
   }
   table.Print();
   std::cout << "\n(the last column is the Filter-Join costings ratio: the "

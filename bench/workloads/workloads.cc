@@ -246,7 +246,9 @@ std::unique_ptr<Database> MakeStarDatabase(const StarOptions& opts) {
   MAGICDB_CHECK_OK(db->LoadRows("Fact", std::move(fact_rows)));
 
   for (int i = 0; i < opts.num_dims; ++i) {
-    const std::string base = "DimBase" + std::to_string(i);
+    const bool stored = i >= opts.num_dims - opts.stored_dims;
+    const std::string base =
+        (stored ? "Dim" : "DimBase") + std::to_string(i);
     MAGICDB_CHECK_OK(
         db->Execute("CREATE TABLE " + base + " (id INT, attr INT)"));
     std::vector<Tuple> rows;
@@ -257,6 +259,7 @@ std::unique_ptr<Database> MakeStarDatabase(const StarOptions& opts) {
     MAGICDB_CHECK_OK(db->LoadRows(base, std::move(rows)));
     (*db->catalog()->Lookup(base))->table->CreateHashIndex({0});
     const std::string dim = "Dim" + std::to_string(i);
+    if (stored) continue;
     if (i < opts.view_dims) {
       // Dimension exposed through an aggregating view (a virtual relation).
       MAGICDB_CHECK_OK(db->Execute(

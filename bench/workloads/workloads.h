@@ -127,6 +127,9 @@ struct StarOptions {
   int fact_rows = 2000;
   int dim_rows = 100;
   int view_dims = 1;  // how many dimensions are wrapped in views
+  /// How many of the last dimensions are plain stored tables named Dim<i>
+  /// (no view); the rest up to `view_dims` are projection views.
+  int stored_dims = 0;
   uint64_t seed = 21;
 };
 

@@ -18,6 +18,8 @@
 #   3. AddressSanitizer+UndefinedBehaviorSanitizer build, full test suite
 #      (lifetime bugs in pooled plan instances, cancellation unwinds, and
 #      UB anywhere; MAGICDB_SANITIZE=address enables both).
+# The Release and ASan+UBSan builds also print the optimizer-complexity
+# table of bench_sec3_opt_complexity (stars of up to 8 inputs).
 # The Release build also runs every magicbench workload (the repository
 # benchmark, magicbench/run.py) for 3 s at seed 1 and fails unless every
 # query is correct and none failed.
@@ -101,6 +103,13 @@ echo "=== Parallel-scaling bench smoke (Release, DoP 2) ==="
 echo "=== Server-throughput bench smoke (Release) ==="
 ./build-release/bench/bench_server_throughput --smoke
 
+# Planning-effort table (stars of up to 8 inputs, three optimizer
+# configurations, 15 plans each): its exact effort counts must not vary
+# between repetitions, and it exercises the lazily built DP entries on
+# wider blocks than the test suite's plan corpus.
+echo "=== Optimizer-complexity table (Release) ==="
+./build-release/bench/bench_sec3_opt_complexity --benchmark_filter=NONE
+
 # Repository-benchmark smoke: every magicbench workload for 3 s at seed 1.
 # Each query passes the benchmark's own gates (DoP identity on analytic,
 # the magic-off oracle on views_adhoc, spill identity under a 1 MiB limit on
@@ -156,6 +165,9 @@ MAGICDB_TEST_BATCH_SIZE=0 \
 
 echo "=== Server-throughput bench smoke (ASan+UBSan) ==="
 ./build-asan/bench/bench_server_throughput --smoke
+
+echo "=== Optimizer-complexity table (ASan+UBSan) ==="
+./build-asan/bench/bench_sec3_opt_complexity --benchmark_filter=NONE
 
 CHAOS_FILTER='ChaosTest.*:ExecFailpointTest.*:MemoryGovernorTest.*:MemoryTrackerTest.*:ServerStressTest.*:SpillChaosTest.*:DdlChaosTest.*:OverloadTest.*:OverloadFairnessTest.*:OverloadChaosTest.*'
 

@@ -7,20 +7,14 @@ namespace magicdb {
 
 using optimizer_internal::AccessKind;
 using optimizer_internal::JoinGraph;
+using optimizer_internal::kJoinMethods;
 using optimizer_internal::PartialPlan;
 using optimizer_internal::PlanContext;
+using optimizer_internal::StepCost;
+using optimizer_internal::StepFacts;
 using optimizer_internal::StepMethod;
 
 namespace {
-
-// Methods a backend may try per step. CostJoinStep itself rejects methods
-// disabled by options (enable_hash_join etc.) or inapplicable to the input;
-// the explicit kFilterJoin/kFnMemo gates below mirror RunDP's.
-const StepMethod kStepMethods[] = {
-    StepMethod::kNestedLoops, StepMethod::kHash,    StepMethod::kSortMerge,
-    StepMethod::kIndexNL,     StepMethod::kFnProbe, StepMethod::kFnMemo,
-    StepMethod::kFilterJoin,
-};
 
 Status Infeasible() {
   return Status::InvalidArgument(
@@ -62,6 +56,8 @@ class GreedyBackend final : public JoinOrderBackend {
 
     bool have_best = false;
     PartialPlan best;
+    StepFacts facts;
+    StepCost cost;
     for (int seed = 0; seed < n; ++seed) {
       if (graph.inputs[seed].access == AccessKind::kFunction) continue;
       auto seeded = impl->AccessPlan(graph, seed);
@@ -71,20 +67,17 @@ class GreedyBackend final : public JoinOrderBackend {
       bool feasible = true;
       for (int k = 1; k < n; ++k) {
         bool have_step = false;
-        PartialPlan step_best;
+        StepCost step_best;
         int step_input = -1;
         for (int j = 0; j < n; ++j) {
           if ((used & (1u << j)) != 0) continue;
-          for (StepMethod m : kStepMethods) {
-            if (m == StepMethod::kFilterJoin && !allow_filter_join) continue;
-            if (m == StepMethod::kFnMemo &&
-                !impl->options_->enable_function_memo) {
-              continue;
-            }
-            auto r = impl->CostJoinStep(graph, cur, j, m, ctx);
-            if (!r.ok()) continue;  // method inapplicable here
-            if (!have_step || r->cost < step_best.cost) {
-              step_best = std::move(*r);
+          impl->ComputeStepFacts(graph, cur, j, &facts);
+          for (StepMethod m : kJoinMethods) {
+            if (!impl->Considers(m, allow_filter_join)) continue;
+            auto applies = impl->CostStep(graph, cur, facts, m, ctx, &cost);
+            if (!applies.ok() || !*applies) continue;  // inapplicable here
+            if (!have_step || cost.cost < step_best.cost) {
+              step_best = cost;
               step_input = j;
               have_step = true;
             }
@@ -94,7 +87,9 @@ class GreedyBackend final : public JoinOrderBackend {
           feasible = false;
           break;
         }
-        cur = std::move(step_best);
+        // Only the cheapest step is built.
+        impl->ComputeStepFacts(graph, cur, step_input, &facts);
+        cur = impl->BuildCandidate(graph, cur, facts, step_best);
         used |= 1u << step_input;
       }
       if (!feasible) continue;

@@ -3,7 +3,7 @@
 
 // Pluggable join-order search. Every backend enumerates left-deep trees
 // over the same JoinGraph and prices candidate steps with the same cost
-// model (Optimizer::Impl::CostJoinStep), so a backend switch changes only
+// model (Optimizer::Impl::CostStep), so a backend switch changes only
 // how much of the plan space is explored — never how plans are costed or
 // what they produce. Selected via OptimizerOptions::join_order_backend and
 // folded into the options fingerprint, so plan caches never share plans

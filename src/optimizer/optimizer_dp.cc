@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "src/common/logging.h"
 #include "src/exec/basic_ops.h"
@@ -19,8 +20,11 @@ using optimizer_internal::InputInfo;
 using optimizer_internal::JoinGraph;
 using optimizer_internal::JoinStep;
 using optimizer_internal::JoinStepPtr;
+using optimizer_internal::kJoinMethods;
 using optimizer_internal::PartialPlan;
 using optimizer_internal::Planned;
+using optimizer_internal::StepCost;
+using optimizer_internal::StepFacts;
 using optimizer_internal::StepMethod;
 using optimizer_internal::StepMethodName;
 
@@ -46,26 +50,23 @@ std::string InputFeedbackKey(const InputInfo& in) {
 
 namespace {
 
-const StepMethod kJoinMethods[] = {
-    StepMethod::kNestedLoops, StepMethod::kHash,    StepMethod::kSortMerge,
-    StepMethod::kIndexNL,     StepMethod::kFnProbe, StepMethod::kFnMemo,
-    StepMethod::kFilterJoin,
-};
-
-bool IsPrefixOf(const std::vector<int>& prefix, const std::vector<int>& of) {
-  if (prefix.size() > of.size()) return false;
-  for (size_t i = 0; i < prefix.size(); ++i) {
-    if (prefix[i] != of[i]) return false;
-  }
-  return true;
+bool IsPrefixOf(std::span<const int> prefix, std::span<const int> of) {
+  return prefix.size() <= of.size() &&
+         std::equal(prefix.begin(), prefix.end(), of.begin());
 }
 
-void InsertCandidate(std::vector<PartialPlan>* cands, PartialPlan cand) {
-  for (const PartialPlan& c : *cands) {
-    if (c.cost <= cand.cost && IsPrefixOf(cand.order_cols, c.order_cols)) {
-      return;
-    }
+/// True when some candidate is no costlier than `cost` and delivers an
+/// order that has `order` as a prefix.
+bool Dominated(const std::vector<PartialPlan>& cands, double cost,
+               std::span<const int> order) {
+  for (const PartialPlan& c : cands) {
+    if (c.cost <= cost && IsPrefixOf(order, c.order_cols)) return true;
   }
+  return false;
+}
+
+/// Adds an undominated candidate, dropping the candidates it dominates.
+void InsertUndominated(std::vector<PartialPlan>* cands, PartialPlan cand) {
   cands->erase(std::remove_if(cands->begin(), cands->end(),
                               [&](const PartialPlan& c) {
                                 return cand.cost <= c.cost &&
@@ -74,6 +75,11 @@ void InsertCandidate(std::vector<PartialPlan>* cands, PartialPlan cand) {
                               }),
                cands->end());
   cands->push_back(std::move(cand));
+}
+
+void InsertCandidate(std::vector<PartialPlan>* cands, PartialPlan cand) {
+  if (Dominated(*cands, cand.cost, cand.order_cols)) return;
+  InsertUndominated(cands, std::move(cand));
 }
 
 int LayoutPos(const std::vector<int>& layout, int block_col) {
@@ -139,23 +145,27 @@ StatusOr<PartialPlan> Optimizer::Impl::RunDP(const JoinGraph& graph,
     }
   }
 
+  // Cost first, build later: each (candidate, inner) pair's facts are
+  // computed once, each method is costed with plain values, and only a
+  // step that survives the dominance test gets its PartialPlan.
+  StepFacts facts;
+  StepCost cost;
   for (uint32_t mask = 1; mask <= full; ++mask) {
     if (table[mask].empty()) continue;
     for (const PartialPlan& cand : table[mask]) {
       for (int j = 0; j < n; ++j) {
         if ((mask & (1u << j)) != 0) continue;
+        std::vector<PartialPlan>& entry = table[mask | (1u << j)];
+        ComputeStepFacts(graph, cand, j, &facts);
         for (StepMethod method : kJoinMethods) {
-          if (method == StepMethod::kFilterJoin && !allow_filter_join) {
-            continue;
-          }
-          if (method == StepMethod::kFnMemo &&
-              !options_->enable_function_memo) {
-            continue;
-          }
-          auto r = CostJoinStep(graph, cand, j, method, ctx);
-          if (!r.ok()) continue;  // method inapplicable here
+          if (!Considers(method, allow_filter_join)) continue;
+          auto applies = CostStep(graph, cand, facts, method, ctx, &cost);
+          if (!applies.ok() || !*applies) continue;  // inapplicable here
           stats_->dp_entries += 1;
-          InsertCandidate(&table[mask | (1u << j)], std::move(*r));
+          if (Dominated(entry, cost.cost, StepOrder(cand, facts, cost))) {
+            continue;
+          }
+          InsertUndominated(&entry, BuildCandidate(graph, cand, facts, cost));
         }
       }
     }
@@ -179,6 +189,8 @@ StatusOr<PartialPlan> Optimizer::Impl::RecostWithForcedFilterJoins(
       ExtractChain(*chain_plan.step);
   MAGICDB_ASSIGN_OR_RETURN(PartialPlan cur,
                            AccessPlan(graph, chain[0].first));
+  StepFacts facts;
+  StepCost cost;
   for (size_t i = 1; i < chain.size(); ++i) {
     const auto& [input, method] = chain[i];
     const InputInfo& in = graph.inputs[input];
@@ -186,18 +198,19 @@ StatusOr<PartialPlan> Optimizer::Impl::RecostWithForcedFilterJoins(
                                in.access == AccessKind::kSubplan ||
                                in.access == AccessKind::kRemoteTable ||
                                in.access == AccessKind::kFunction;
+    ComputeStepFacts(graph, cur, input, &facts);
     bool done = false;
     if (virtual_inner) {
-      auto fj = CostJoinStep(graph, cur, input, StepMethod::kFilterJoin, ctx);
-      if (fj.ok()) {
-        cur = std::move(*fj);
-        done = true;
-      }
+      auto fj = CostStep(graph, cur, facts, StepMethod::kFilterJoin, ctx,
+                         &cost);
+      done = fj.ok() && *fj;
     }
     if (!done) {
-      MAGICDB_ASSIGN_OR_RETURN(cur,
-                               CostJoinStep(graph, cur, input, method, ctx));
+      MAGICDB_ASSIGN_OR_RETURN(
+          bool applies, CostStep(graph, cur, facts, method, ctx, &cost));
+      if (!applies) return Status::InvalidArgument("method inapplicable");
     }
+    cur = BuildCandidate(graph, cur, facts, cost);
   }
   return cur;
 }
@@ -499,29 +512,27 @@ StatusOr<std::vector<JoinOrderCost>> Optimizer::Impl::EnumerateOrders(
       }
       std::string methods = graph.inputs[perm[0]].alias;
       PartialPlan plan = std::move(*cur);
+      StepFacts facts;
+      StepCost cost;
       for (int k = 1; k < n && feasible; ++k) {
-        double best_cost = -1;
-        PartialPlan best_plan;
-        StepMethod best_method = StepMethod::kNestedLoops;
+        ComputeStepFacts(graph, plan, perm[k], &facts);
+        bool have_best = false;
+        StepCost best;
         for (StepMethod m : kJoinMethods) {
-          if (m == StepMethod::kFilterJoin && !allow_fj) continue;
-          if (m == StepMethod::kFnMemo && !options_->enable_function_memo) {
-            continue;
-          }
-          auto r = CostJoinStep(graph, plan, perm[k], m, ctx);
-          if (!r.ok()) continue;
-          if (best_cost < 0 || r->cost < best_cost) {
-            best_cost = r->cost;
-            best_plan = std::move(*r);
-            best_method = m;
+          if (!Considers(m, allow_fj)) continue;
+          auto applies = CostStep(graph, plan, facts, m, ctx, &cost);
+          if (!applies.ok() || !*applies) continue;
+          if (!have_best || cost.cost < best.cost) {
+            best = cost;
+            have_best = true;
           }
         }
-        if (best_cost < 0) {
+        if (!have_best) {
           feasible = false;
           break;
         }
-        plan = std::move(best_plan);
-        methods += std::string(" *") + StepMethodName(best_method) + "* " +
+        plan = BuildCandidate(graph, plan, facts, best);
+        methods += std::string(" *") + StepMethodName(best.method) + "* " +
                    graph.inputs[perm[k]].alias;
       }
       if (!feasible) break;

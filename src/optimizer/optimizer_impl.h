@@ -6,15 +6,19 @@
 // optimizer_join.cc (join-block dynamic programming and Filter Join
 // costing).
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/exec/filter_join_op.h"
 #include "src/optimizer/optimizer.h"
+#include "src/rewrite/magic_rewrite.h"
 #include "src/stats/feedback_store.h"
 
 namespace magicdb {
@@ -177,7 +181,6 @@ std::string InputFeedbackKey(const InputInfo& in);
 /// (selectivity, cost, rows) samples at equivalence-class centers.
 struct ParametricCache {
   LogicalPtr rewritten;  // magic-rewritten inner plan
-  LogicalPtr pinned_node;  // original inner (pins the pointer in the key)
   std::string binding_id;
   double inner_key_domain = 1.0;  // distinct key values in the inner
   struct Sample {
@@ -188,7 +191,112 @@ struct ParametricCache {
   std::vector<Sample> samples;  // indexed by bucket; selectivity<0 = empty
 };
 
+/// What a ParametricCache is keyed by: the inner (node and alias), the
+/// inner columns the filter set restricts, and the rewrite style. The key
+/// holds the node, so its address cannot be reused by another node while
+/// the cache lives.
+struct ParametricKey {
+  LogicalPtr node;
+  std::string alias;
+  std::vector<int> key_cols;
+  RewriteStyle style;
+};
+
+/// A ParametricKey's fields by reference: looks a cache up without
+/// copying the alias or the key columns.
+struct ParametricKeyRef {
+  const LogicalNode* node;
+  std::string_view alias;
+  std::span<const int> key_cols;
+  RewriteStyle style;
+};
+
+struct ParametricKeyLess {
+  using is_transparent = void;
+  static uintptr_t Node(const ParametricKey& k) {
+    return reinterpret_cast<uintptr_t>(k.node.get());
+  }
+  static uintptr_t Node(const ParametricKeyRef& k) {
+    return reinterpret_cast<uintptr_t>(k.node);
+  }
+  template <typename A, typename B>
+  bool operator()(const A& a, const B& b) const {
+    if (Node(a) != Node(b)) return Node(a) < Node(b);
+    if (a.style != b.style) return a.style < b.style;
+    const std::string_view alias_a = a.alias;
+    const std::string_view alias_b = b.alias;
+    if (alias_a != alias_b) return alias_a < alias_b;
+    return std::lexicographical_compare(a.key_cols.begin(), a.key_cols.end(),
+                                        b.key_cols.begin(), b.key_cols.end());
+  }
+};
+
+/// Methods a join step may use, in the order every enumerator tries them.
+inline constexpr StepMethod kJoinMethods[] = {
+    StepMethod::kNestedLoops, StepMethod::kHash,    StepMethod::kSortMerge,
+    StepMethod::kIndexNL,     StepMethod::kFnProbe, StepMethod::kFnMemo,
+    StepMethod::kFilterJoin,
+};
+
+/// One production-set choice for a Filter Join: the full outer, or (the
+/// Limitation-2 ablation) an outer-chain prefix that produces every key.
+struct ProductionSet {
+  double rows;
+  double width;
+  int prefix_len;  // -1 = full outer
+};
+
+/// What joining one outer partial plan with one inner input implies
+/// whatever the join method: computed once per (outer, inner) pair and
+/// shared by the costing of every method. The vectors are reused from pair
+/// to pair, so steady-state costing allocates nothing.
+struct StepFacts {
+  int inner_id = -1;
+  uint32_t new_set = 0;
+  /// Equi-join keys (outer block col, inner col), one per inner column,
+  /// sorted by inner column.
+  std::vector<std::pair<int, int>> keys;
+  std::vector<int> key_outer_cols;  // keys[i].first
+  std::vector<int> key_inner_cols;  // keys[i].second
+  /// Keys binding a table function's argument columns (icol < nargs), in
+  /// key order; empty unless the inner is a function.
+  std::vector<std::pair<int, int>> arg_keys;
+  /// Conjuncts applied at this step (indices into JoinGraph::conjuncts),
+  /// in conjunct order; equi conjuncts included.
+  std::vector<int> applied;
+  int num_residuals = 0;  // non-equi conjuncts among `applied`
+  double resid_sel = 1.0;  // selectivity of the residuals
+  double mid_rows = 0.0;   // after the equi keys
+  double out_rows = 0.0;  // after the residuals too
+  /// Outer distinct counts with the inner's columns filled in.
+  std::vector<double> combined;
+  /// Prefix production sets (only with explore_prefix_production_sets).
+  std::vector<ProductionSet> prefix_sets;
+  std::vector<int> counted_classes;  // scratch
+};
+
+/// The outcome of costing one join method for a StepFacts pair: plain
+/// values, from which BuildCandidate makes the PartialPlan and JoinStep
+/// once the enumerator decides to keep the step.
+struct StepCost {
+  StepMethod method = StepMethod::kAccess;
+  double cost = 0.0;  // cumulative (outer cost included)
+  double rows = 0.0;
+  /// Sort-merge: the outer arrives sorted on the keys, whose order then
+  /// follows the outer's.
+  bool smj_outer_presorted = false;
+  // The winning Filter Join variant.
+  FilterSetImpl fs_impl = FilterSetImpl::kExact;
+  int filter_key_pos = -1;  // single key position; -1 = every key
+  /// The filter set's binding: a parametric cache's (views, subplans) or
+  /// one numbered for this step (tables, functions).
+  const ParametricCache* cache = nullptr;
+  int64_t binding_number = -1;
+  FilterJoinCostBreakdown breakdown;
+};
+
 }  // namespace optimizer_internal
+
 
 /// Private implementation of Optimizer.
 class Optimizer::Impl {
@@ -202,6 +310,8 @@ class Optimizer::Impl {
   using JoinStepPtr = optimizer_internal::JoinStepPtr;
   using StepMethod = optimizer_internal::StepMethod;
   using ParametricCache = optimizer_internal::ParametricCache;
+  using StepFacts = optimizer_internal::StepFacts;
+  using StepCost = optimizer_internal::StepCost;
 
   Impl(const Catalog* catalog, OptimizerOptions* options,
        OptimizerStats* stats)
@@ -231,6 +341,9 @@ class Optimizer::Impl {
   /// Fresh binding id for a magic filter set.
   std::string NextBindingId(const std::string& hint);
 
+  /// The binding id NextBindingId returns for `hint` and number `n`.
+  static std::string BindingId(const std::string& hint, int64_t n);
+
   // ----- implemented in optimizer_join.cc -----
 
   /// Plans a join block (NaryJoin node) via the System-R DP.
@@ -240,11 +353,37 @@ class Optimizer::Impl {
   StatusOr<JoinGraph> BuildJoinGraph(const NaryJoinNode& join,
                                      PlanContext* ctx);
 
-  /// Costs joining `outer` with input `inner_id` using `method`. Returns
-  /// false (no value) via Status when the method is inapplicable.
-  StatusOr<PartialPlan> CostJoinStep(const JoinGraph& graph,
-                                     const PartialPlan& outer, int inner_id,
-                                     StepMethod method, PlanContext* ctx);
+  // Join steps are costed first and built later: ComputeStepFacts once per
+  // (outer, inner) pair, CostStep once per method with plain values, and
+  // BuildCandidate only for the steps an enumerator keeps. Every side
+  // effect of costing (binding numbers, parametric-cache fills, stats)
+  // happens in CostStep, so it is the same whether or not a step is kept.
+
+  /// Whether an enumerator tries `method` at all under the options.
+  bool Considers(StepMethod method, bool allow_filter_join) const;
+
+  /// Fills `facts` for joining `outer` with input `inner_id`.
+  void ComputeStepFacts(const JoinGraph& graph, const PartialPlan& outer,
+                        int inner_id, StepFacts* facts) const;
+
+  /// Costs joining `outer` with the inner of `facts` by `method` into
+  /// `out`. Returns false when the method does not apply (allocating
+  /// nothing), or an error when costing a Filter Join's restricted inner
+  /// fails.
+  StatusOr<bool> CostStep(const JoinGraph& graph, const PartialPlan& outer,
+                          const StepFacts& facts, StepMethod method,
+                          PlanContext* ctx, StepCost* out);
+
+  /// The sort order the costed step delivers (empty without interesting
+  /// orders); views `outer` and `facts`.
+  std::span<const int> StepOrder(const PartialPlan& outer,
+                                 const StepFacts& facts,
+                                 const StepCost& cost) const;
+
+  /// Builds the partial plan and JoinStep of a costed step.
+  PartialPlan BuildCandidate(const JoinGraph& graph, const PartialPlan& outer,
+                             const StepFacts& facts,
+                             const StepCost& cost) const;
 
   /// Seeds a single-input partial plan.
   StatusOr<PartialPlan> AccessPlan(const JoinGraph& graph, int input_id);
@@ -290,8 +429,10 @@ class Optimizer::Impl {
   /// repeated nested optimization of the same view).
   std::map<std::string, Planned> view_cache_;
 
-  /// Parametric restricted-inner caches, keyed by binding id.
-  std::map<std::string, ParametricCache> parametric_;
+  /// Parametric restricted-inner caches.
+  std::map<optimizer_internal::ParametricKey, ParametricCache,
+           optimizer_internal::ParametricKeyLess>
+      parametric_;
 
   /// Table-1 breakdowns of Filter Joins in plans actually chosen (cleared
   /// per Optimize call; suppressed during parametric trial planning).

@@ -1,7 +1,6 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
-#include <sstream>
 
 #include "src/common/logging.h"
 #include "src/exec/basic_ops.h"
@@ -32,16 +31,6 @@ using optimizer_internal::StepMethodName;
 namespace {
 
 constexpr double kInapplicable = -1.0;
-
-double ProductCappedAt(const std::vector<double>& distinct,
-                       const std::vector<int>& cols, double cap) {
-  double d = 1.0;
-  for (int c : cols) {
-    d *= std::max(1.0, distinct[c]);
-    if (d > cap) break;
-  }
-  return std::max(1.0, std::min(d, std::max(1.0, cap)));
-}
 
 /// Bloom filter false-positive rate for the configured bits/key.
 double BloomFpr(double bits_per_key) {
@@ -448,36 +437,63 @@ StatusOr<PartialPlan> Optimizer::Impl::OrderedAccessPlan(
 
 // ----- Join step costing -----
 
-StatusOr<PartialPlan> Optimizer::Impl::CostJoinStep(const JoinGraph& graph,
-                                                    const PartialPlan& outer,
-                                                    int inner_id,
-                                                    StepMethod method,
-                                                    PlanContext* ctx) {
+namespace {
+
+/// ProductCappedAt over column `col_of(keys[i])` of the keys selected by
+/// `pos` (-1 = every key).
+template <typename ColOf>
+double KeyProductCappedAt(const std::vector<double>& distinct,
+                          const std::vector<std::pair<int, int>>& keys,
+                          int pos, ColOf col_of, double cap) {
+  double d = 1.0;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    if (pos >= 0 && static_cast<int>(i) != pos) continue;
+    d *= std::max(1.0, distinct[col_of(keys[i])]);
+    if (d > cap) break;
+  }
+  return std::max(1.0, std::min(d, std::max(1.0, cap)));
+}
+
+int OuterCol(const std::pair<int, int>& key) { return key.first; }
+int InnerCol(const std::pair<int, int>& key) { return key.second; }
+
+}  // namespace
+
+bool Optimizer::Impl::Considers(StepMethod method,
+                                bool allow_filter_join) const {
+  if (method == StepMethod::kFilterJoin) return allow_filter_join;
+  if (method == StepMethod::kFnMemo) return options_->enable_function_memo;
+  return true;
+}
+
+void Optimizer::Impl::ComputeStepFacts(const JoinGraph& graph,
+                                       const PartialPlan& outer,
+                                       int inner_id, StepFacts* f) const {
   const InputInfo& inner = graph.inputs[inner_id];
   const uint32_t inner_bit = 1u << inner_id;
   MAGICDB_CHECK((outer.set & inner_bit) == 0);
-  const uint32_t new_set = outer.set | inner_bit;
-  stats_->join_steps_costed += 1;
+  f->inner_id = inner_id;
+  f->new_set = outer.set | inner_bit;
+  f->keys.clear();
+  f->applied.clear();
+  f->counted_classes.clear();
+  f->num_residuals = 0;
+  f->resid_sel = 1.0;
+  double equi_sel = 1.0;
+
+  // Combined distinct (outer cols + inner cols) for residual selectivity.
+  f->combined.assign(outer.distinct.begin(), outer.distinct.end());
+  for (int c = 0; c < inner.schema.num_columns(); ++c) {
+    f->combined[inner.col_offset + c] = inner.planned.distinct[c];
+  }
 
   // Conjuncts applied at this step: those referencing the inner whose full
   // mask is now covered.
-  std::vector<std::pair<int, int>> keys;      // (outer block col, inner col)
-  std::vector<ExprPtr> residuals;             // block space
-  std::vector<ExprPtr> all_applied;           // for NL predicates
-  double equi_sel = 1.0;
-  double resid_sel = 1.0;
-
-  // Combined distinct (outer cols + inner cols) for residual selectivity.
-  std::vector<double> combined = outer.distinct;
-  for (int c = 0; c < inner.schema.num_columns(); ++c) {
-    combined[inner.col_offset + c] = inner.planned.distinct[c];
-  }
-
-  std::vector<int> counted_classes;  // selectivity counted per column class
-  for (const Conjunct& conj : graph.conjuncts) {
+  for (size_t i = 0; i < graph.conjuncts.size(); ++i) {
+    const Conjunct& conj = graph.conjuncts[i];
     if ((conj.mask & inner_bit) == 0) continue;
-    if ((conj.mask & ~new_set) != 0) continue;
-    all_applied.push_back(conj.expr);
+    if ((conj.mask & ~f->new_set) != 0) continue;
+    f->applied.push_back(static_cast<int>(i));
     if (conj.is_equi) {
       const EquiEdge& e = graph.edges[conj.equi_edge];
       int ocol, icol;
@@ -491,71 +507,125 @@ StatusOr<PartialPlan> Optimizer::Impl::CostJoinStep(const JoinGraph& graph,
       // Keys are deduplicated per inner column; transitively-equal edges
       // (same equivalence class) contribute selectivity only once.
       bool dup_key = false;
-      for (const auto& [eo, ei] : keys) {
+      for (const auto& [eo, ei] : f->keys) {
         if (ei == icol) {
           dup_key = true;
           break;
         }
       }
-      if (!dup_key) keys.emplace_back(ocol, icol);
+      if (!dup_key) f->keys.emplace_back(ocol, icol);
       const int cls = graph.col_class[inner.col_offset + icol];
       bool counted = false;
-      for (int c : counted_classes) {
+      for (int c : f->counted_classes) {
         if (c == cls) {
           counted = true;
           break;
         }
       }
       if (!counted) {
-        counted_classes.push_back(cls);
+        f->counted_classes.push_back(cls);
         equi_sel *= 1.0 / std::max({1.0, outer.distinct[ocol],
                                     inner.planned.distinct[icol]});
       }
       continue;
     }
-    residuals.push_back(conj.expr);
-    resid_sel *= ConjunctSelectivity(
-        conj.expr, combined, nullptr,
+    ++f->num_residuals;
+    f->resid_sel *= ConjunctSelectivity(
+        conj.expr, f->combined, nullptr,
         outer.rows * std::max(1.0, inner.planned.est.rows));
   }
-  std::sort(keys.begin(), keys.end(),
+  std::sort(f->keys.begin(), f->keys.end(),
             [](const auto& a, const auto& b) { return a.second < b.second; });
-
-  const double inner_rows = inner.planned.est.rows;
-  const double mid_rows = outer.rows * inner_rows * equi_sel;
-  double out_rows = mid_rows * resid_sel;
-
-  auto step = std::make_shared<JoinStep>();
-  step->method = method;
-  step->input = inner_id;
-  step->outer = outer.step;
-  step->keys = keys;
-  step->residuals = residuals;
-  step->output_block_cols = outer.step->output_block_cols;
-  for (int c = 0; c < inner.schema.num_columns(); ++c) {
-    step->output_block_cols.push_back(inner.col_offset + c);
+  f->key_outer_cols.clear();
+  f->key_inner_cols.clear();
+  for (const auto& [ocol, icol] : f->keys) {
+    f->key_outer_cols.push_back(ocol);
+    f->key_inner_cols.push_back(icol);
   }
 
+  f->mid_rows = outer.rows * inner.planned.est.rows * equi_sel;
+  f->out_rows = f->mid_rows * f->resid_sel;
+
+  f->arg_keys.clear();
+  if (inner.access == AccessKind::kFunction) {
+    const int nargs = inner.entry->function->arg_schema().num_columns();
+    for (const auto& key : f->keys) {
+      if (key.second < nargs) f->arg_keys.push_back(key);
+    }
+  }
+
+  // Production-set ablation: every outer-chain prefix that still produces
+  // all the Filter Join's key columns (Limitation 1), which multiplies
+  // costing work by O(chain length).
+  f->prefix_sets.clear();
+  if (options_->explore_prefix_production_sets && !f->keys.empty()) {
+    const auto& fj_keys =
+        inner.access == AccessKind::kFunction ? f->arg_keys : f->keys;
+    for (const JoinStep* s = outer.step->outer.get(); s != nullptr;
+         s = s->outer.get()) {
+      bool has_all_keys = true;
+      for (const auto& [kc, icol] : fj_keys) {
+        bool found = false;
+        for (int c : s->output_block_cols) {
+          if (c == kc) {
+            found = true;
+            break;
+          }
+        }
+        if (!found) {
+          has_all_keys = false;
+          break;
+        }
+      }
+      if (!has_all_keys) continue;
+      double w = 0;
+      for (int c : s->output_block_cols) {
+        w += static_cast<double>(
+            DataTypeWidth(graph.block_schema.column(c).type));
+      }
+      int len = 0;
+      for (const JoinStep* q = s; q != nullptr; q = q->outer.get()) ++len;
+      f->prefix_sets.push_back({s->rows, w, len});
+    }
+  }
+}
+
+StatusOr<bool> Optimizer::Impl::CostStep(const JoinGraph& graph,
+                                         const PartialPlan& outer,
+                                         const StepFacts& f,
+                                         StepMethod method, PlanContext* ctx,
+                                         StepCost* out) {
+  const InputInfo& inner = graph.inputs[f.inner_id];
+  stats_->join_steps_costed += 1;
+  *out = StepCost{};
+  out->method = method;
+
+  const std::vector<std::pair<int, int>>& keys = f.keys;
+  const double inner_rows = inner.planned.est.rows;
+  const double mid_rows = f.mid_rows;
+  double out_rows = f.out_rows;
   double step_cost = kInapplicable;
-  std::vector<int> order = outer.order_cols;
 
   const bool is_function = inner.access == AccessKind::kFunction;
   const bool is_table = inner.access == AccessKind::kLocalTable ||
                         inner.access == AccessKind::kRemoteTable;
+  const int nargs =
+      is_function ? inner.entry->function->arg_schema().num_columns() : 0;
+  // Equalities against a function's result columns run as residuals after
+  // the call.
+  const bool has_residuals =
+      f.num_residuals > 0 || (is_function && keys.size() > f.arg_keys.size());
 
   switch (method) {
     case StepMethod::kAccess:
-      return Status::InvalidArgument("kAccess is not a join method");
+      break;
 
     case StepMethod::kNestedLoops: {
       if (!options_->enable_nested_loops || is_function) break;
       const double pairs = outer.rows * inner_rows;
       step_cost = outer.rows * inner.planned.est.cost +
                   costs::TupleCpu(pairs) +
-                  (all_applied.empty() ? 0.0 : costs::ExprEval(pairs));
-      // NL applies every conjunct (keys included) as its predicate.
-      step->keys.clear();
-      step->residuals = all_applied;
+                  (f.applied.empty() ? 0.0 : costs::ExprEval(pairs));
       break;
     }
 
@@ -569,7 +639,7 @@ StatusOr<PartialPlan> Optimizer::Impl::CostJoinStep(const JoinGraph& graph,
                   costs::HashSpill(inner_rows, inner.planned.est.width_bytes,
                                    outer.rows, outer.width,
                                    options_->memory_budget_bytes) +
-                  (residuals.empty() ? 0.0 : costs::ExprEval(mid_rows));
+                  (has_residuals ? costs::ExprEval(mid_rows) : 0.0);
       break;
     }
 
@@ -581,20 +651,11 @@ StatusOr<PartialPlan> Optimizer::Impl::CostJoinStep(const JoinGraph& graph,
       bool outer_presorted = false;
       if (options_->interesting_orders &&
           outer.order_cols.size() >= keys.size()) {
-        std::vector<std::pair<int, int>> reordered;
-        for (size_t i = 0; i < keys.size(); ++i) {
-          const int want = outer.order_cols[i];
-          for (const auto& kv : keys) {
-            if (kv.first == want) {
-              reordered.push_back(kv);
-              break;
-            }
-          }
-        }
-        if (reordered.size() == keys.size()) {
-          outer_presorted = true;
-          keys = reordered;
-          step->keys = keys;
+        outer_presorted = true;
+        for (size_t i = 0; i < keys.size() && outer_presorted; ++i) {
+          outer_presorted =
+              std::find(f.key_outer_cols.begin(), f.key_outer_cols.end(),
+                        outer.order_cols[i]) != f.key_outer_cols.end();
         }
       }
       step_cost = inner.planned.est.cost +
@@ -605,10 +666,8 @@ StatusOr<PartialPlan> Optimizer::Impl::CostJoinStep(const JoinGraph& graph,
                   costs::Sort(inner_rows, inner.planned.est.width_bytes,
                               options_->memory_budget_bytes) +
                   costs::TupleCpu(mid_rows) +
-                  (residuals.empty() ? 0.0 : costs::ExprEval(mid_rows));
-      order.clear();
-      for (const auto& [ocol, icol] : keys) order.push_back(ocol);
-      step->smj_outer_presorted = outer_presorted;
+                  (has_residuals ? costs::ExprEval(mid_rows) : 0.0);
+      out->smj_outer_presorted = outer_presorted;
       break;
     }
 
@@ -616,10 +675,9 @@ StatusOr<PartialPlan> Optimizer::Impl::CostJoinStep(const JoinGraph& graph,
       if (!options_->enable_index_nested_loops || !is_table || keys.empty()) {
         break;
       }
-      std::vector<int> index_cols;
-      for (const auto& [ocol, icol] : keys) index_cols.push_back(icol);
-      const HashIndex* index = inner.entry->table->FindHashIndex(index_cols);
-      if (index == nullptr) break;
+      if (inner.entry->table->FindHashIndex(f.key_inner_cols) == nullptr) {
+        break;
+      }
       // Probes hit the raw table; local predicates become residuals.
       double base_equi_sel = 1.0;
       for (const auto& [ocol, icol] : keys) {
@@ -630,7 +688,7 @@ StatusOr<PartialPlan> Optimizer::Impl::CostJoinStep(const JoinGraph& graph,
       const double matches_per_probe =
           outer.rows > 0 ? base_matches / outer.rows : 0.0;
       step_cost = outer.rows * costs::IndexProbe(matches_per_probe);
-      if (!inner.local_preds.empty() || !residuals.empty()) {
+      if (!inner.local_preds.empty() || has_residuals) {
         step_cost += costs::ExprEval(base_matches);
       }
       if (inner.access == AccessKind::kRemoteTable) {
@@ -639,7 +697,7 @@ StatusOr<PartialPlan> Optimizer::Impl::CostJoinStep(const JoinGraph& graph,
                      costs::RemoteProbe(key_bytes, matches_per_probe,
                                         inner.planned.est.width_bytes);
       }
-      out_rows = base_matches * inner.local_selectivity * resid_sel;
+      out_rows = base_matches * inner.local_selectivity * f.resid_sel;
       break;
     }
 
@@ -647,46 +705,22 @@ StatusOr<PartialPlan> Optimizer::Impl::CostJoinStep(const JoinGraph& graph,
     case StepMethod::kFnMemo: {
       if (!is_function) break;
       // Every argument column must be bound by an equi key.
-      const int nargs = inner.entry->function->arg_schema().num_columns();
-      std::vector<std::pair<int, int>> arg_keys;
-      std::vector<ExprPtr> fn_residuals = residuals;
-      for (const auto& [ocol, icol] : keys) {
-        if (icol < nargs) {
-          arg_keys.emplace_back(ocol, icol);
-        } else {
-          // Equality against a function result column: apply after the
-          // call.
-          fn_residuals.push_back(MakeComparison(
-              CompareOp::kEq,
-              MakeColumnRef(ocol, graph.block_schema.column(ocol).type,
-                            graph.block_schema.column(ocol).QualifiedName()),
-              MakeColumnRef(inner.col_offset + icol,
-                            graph.block_schema.column(inner.col_offset + icol)
-                                .type,
-                            graph.block_schema.column(inner.col_offset + icol)
-                                .QualifiedName())));
-        }
-      }
-      if (static_cast<int>(arg_keys.size()) != nargs) break;  // unbound args
+      if (static_cast<int>(f.arg_keys.size()) != nargs) break;
       const double rpi =
           inner.entry->function->ExpectedRowsPerInvocation();
       const double raw_out = outer.rows * rpi;
       if (method == StepMethod::kFnProbe) {
         step_cost = costs::FunctionInvoke(outer.rows) + costs::TupleCpu(raw_out);
       } else {
-        std::vector<int> arg_cols;
-        for (const auto& [ocol, icol] : arg_keys) arg_cols.push_back(ocol);
-        const double d_args =
-            ProductCappedAt(outer.distinct, arg_cols, outer.rows);
+        const double d_args = KeyProductCappedAt(outer.distinct, f.arg_keys,
+                                                 -1, OuterCol, outer.rows);
         const double distinct_args = ExpectedDistinct(d_args, outer.rows);
         step_cost = costs::FunctionInvoke(distinct_args) +
                     costs::HashProbe(outer.rows, 0.0) +
                     costs::TupleCpu(raw_out);
       }
-      if (!fn_residuals.empty()) step_cost += costs::ExprEval(raw_out);
-      out_rows = raw_out * resid_sel;
-      step->keys = arg_keys;
-      step->residuals = fn_residuals;
+      if (has_residuals) step_cost += costs::ExprEval(raw_out);
+      out_rows = raw_out * f.resid_sel;
       break;
     }
 
@@ -712,111 +746,45 @@ StatusOr<PartialPlan> Optimizer::Impl::CostJoinStep(const JoinGraph& graph,
       if (filter_join_depth_ >= 8) eligible = false;
       if (!eligible) break;
 
-      const int nargs =
-          is_function ? inner.entry->function->arg_schema().num_columns() : 0;
-      if (is_function) {
-        // All argument columns must be filter-set keys, in arg order.
-        std::vector<std::pair<int, int>> arg_keys;
-        for (const auto& [ocol, icol] : keys) {
-          if (icol < nargs) arg_keys.emplace_back(ocol, icol);
-        }
-        if (static_cast<int>(arg_keys.size()) != nargs) break;
-        step->keys = arg_keys;
-      }
-      const std::vector<std::pair<int, int>>& fj_keys = step->keys;
+      // A function's argument columns must all be filter-set keys, in
+      // argument order.
+      const std::vector<std::pair<int, int>>& fj_keys =
+          is_function ? f.arg_keys : keys;
+      if (is_function && static_cast<int>(fj_keys.size()) != nargs) break;
 
       // Candidate filter-set implementations (Limitation 3).
-      std::vector<FilterSetImpl> impls;
-      if (options_->consider_exact_filter_sets) {
-        impls.push_back(FilterSetImpl::kExact);
-      }
-      if (options_->consider_bloom_filter_sets && !is_function) {
-        impls.push_back(FilterSetImpl::kBloom);
-      }
-      if (impls.empty()) break;
-
-      double best_cost = kInapplicable;
-      FilterJoinCostBreakdown best_bd;
-      FilterSetImpl best_impl = FilterSetImpl::kExact;
-      LogicalPtr best_rewritten;
-      std::string best_binding;
-      std::vector<int> best_filter_positions;
-
-      std::vector<int> outer_key_cols;
-      std::vector<int> inner_key_local;
-      for (const auto& [ocol, icol] : fj_keys) {
-        outer_key_cols.push_back(ocol);
-        inner_key_local.push_back(icol);
-      }
+      const bool try_exact = options_->consider_exact_filter_sets;
+      const bool try_bloom =
+          options_->consider_bloom_filter_sets && !is_function;
+      if (!try_exact && !try_bloom) break;
 
       // Filter-key subsets (§2.1/§3.3): the filter set normally uses every
       // join attribute; optionally each single attribute is also tried
       // (lossy-by-omission SIPS). Functions need all arguments bound.
-      std::vector<std::vector<int>> key_subsets;
-      {
-        std::vector<int> all(fj_keys.size());
-        for (size_t i = 0; i < fj_keys.size(); ++i) all[i] = static_cast<int>(i);
-        key_subsets.push_back(std::move(all));
-        if (options_->consider_partial_key_filter_sets && !is_function &&
-            fj_keys.size() > 1) {
-          for (size_t i = 0; i < fj_keys.size(); ++i) {
-            key_subsets.push_back({static_cast<int>(i)});
-          }
-        }
-      }
+      const int num_subsets =
+          options_->consider_partial_key_filter_sets && !is_function &&
+                  fj_keys.size() > 1
+              ? 1 + static_cast<int>(fj_keys.size())
+              : 1;
+      // Production sets: Limitation 2 fixes it to the full outer; the
+      // ablation adds the facts' prefix sets.
+      const optimizer_internal::ProductionSet full_outer{
+          outer.rows, static_cast<double>(outer.width), -1};
 
-      // Production-set choices. Limitation 2 fixes it to the full outer;
-      // the ablation additionally tries every outer-chain prefix that
-      // still produces all key columns (Limitation 1), which multiplies
-      // costing work by O(chain length).
-      struct ProdSpec {
-        double rows;
-        double width;
-        int prefix_len;  // -1 = full outer
-      };
-      std::vector<ProdSpec> prod_specs = {
-          {outer.rows, static_cast<double>(outer.width), -1}};
-      if (options_->explore_prefix_production_sets) {
-        for (const JoinStep* s = outer.step->outer.get(); s != nullptr;
-             s = s->outer.get()) {
-          bool has_all_keys = true;
-          for (int kc : outer_key_cols) {
-            bool found = false;
-            for (int c : s->output_block_cols) {
-              if (c == kc) {
-                found = true;
-                break;
-              }
-            }
-            if (!found) {
-              has_all_keys = false;
-              break;
-            }
-          }
-          if (!has_all_keys) continue;
-          double w = 0;
-          for (int c : s->output_block_cols) {
-            w += static_cast<double>(
-                DataTypeWidth(graph.block_schema.column(c).type));
-          }
-          int len = 0;
-          for (const JoinStep* q = s; q != nullptr; q = q->outer.get()) ++len;
-          prod_specs.push_back({s->rows, w, len});
-        }
-      }
-
-      for (const std::vector<int>& subset : key_subsets) {
-       std::vector<int> sub_outer_cols, sub_inner_local;
-       for (int pos : subset) {
-         sub_outer_cols.push_back(outer_key_cols[pos]);
-         sub_inner_local.push_back(inner_key_local[pos]);
-       }
+      double best_cost = kInapplicable;
+      for (int subset = 0; subset < num_subsets; ++subset) {
+       const int pos = subset - 1;  // -1 = every key
+       const int subset_size = pos < 0 ? static_cast<int>(fj_keys.size()) : 1;
        int64_t key_width = 0;
-       for (int icol : sub_inner_local) {
-         key_width += DataTypeWidth(inner.schema.column(icol).type);
+       for (size_t i = 0; i < fj_keys.size(); ++i) {
+         if (pos >= 0 && static_cast<int>(i) != pos) continue;
+         key_width += DataTypeWidth(inner.schema.column(fj_keys[i].second).type);
        }
-       for (FilterSetImpl impl : impls) {
-       for (const ProdSpec& prod : prod_specs) {
+       for (FilterSetImpl impl : {FilterSetImpl::kExact, FilterSetImpl::kBloom}) {
+       if (!(impl == FilterSetImpl::kExact ? try_exact : try_bloom)) continue;
+       for (size_t p = 0; p <= f.prefix_sets.size(); ++p) {
+        const optimizer_internal::ProductionSet& prod =
+            p == 0 ? full_outer : f.prefix_sets[p - 1];
         stats_->filter_joins_costed += 1;
         FilterJoinCostBreakdown bd;
         bd.production_prefix_len = prod.prefix_len;
@@ -824,11 +792,11 @@ StatusOr<PartialPlan> Optimizer::Impl::CostJoinStep(const JoinGraph& graph,
         bd.production_cost = costs::MaterializeWrite(
             prod.rows, static_cast<int64_t>(prod.width));
         bd.proj_cost = costs::HashBuild(prod.rows);
-        const double d_key_outer =
-            ProductCappedAt(outer.distinct, sub_outer_cols, prod.rows);
+        const double d_key_outer = KeyProductCappedAt(
+            outer.distinct, fj_keys, pos, OuterCol, prod.rows);
         const double n_f = ExpectedDistinct(d_key_outer, prod.rows);
         bd.filter_set_size = n_f;
-        bd.filter_key_count = static_cast<int>(subset.size());
+        bd.filter_key_count = subset_size;
         const double fpr = impl == FilterSetImpl::kBloom
                                ? BloomFpr(options_->bloom_bits_per_key)
                                : 0.0;
@@ -853,13 +821,12 @@ StatusOr<PartialPlan> Optimizer::Impl::CostJoinStep(const JoinGraph& graph,
         double restricted_rows = 0.0;
         double filter_cost = 0.0;
         double avail_rk = 0.0;
-        LogicalPtr rewritten;
-        std::string binding;
+        const ParametricCache* variant_cache = nullptr;
+        int64_t variant_binding = -1;
 
         if (is_table) {
-          double d_inner_base =
-              ProductCappedAt(inner.base_distinct, sub_inner_local,
-                              inner.base_rows);
+          double d_inner_base = KeyProductCappedAt(
+              inner.base_distinct, fj_keys, pos, InnerCol, inner.base_rows);
           double sigma = std::min(1.0, n_f / d_inner_base);
           sigma = sigma + (1.0 - sigma) * fpr;
           const double probed = inner.base_rows * sigma;
@@ -878,7 +845,7 @@ StatusOr<PartialPlan> Optimizer::Impl::CostJoinStep(const JoinGraph& graph,
           filter_cost = costs::FunctionInvoke(n_f) +
                         costs::TupleCpu(n_f * inner.base_rows);
           restricted_rows = n_f * inner.base_rows;
-          binding = NextBindingId(inner.alias);
+          variant_binding = next_binding_++;
         } else {
           // View or subplan: parametric costing via equivalence classes.
           // Exact filter sets use the join-style rewrite (F can drive the
@@ -886,19 +853,15 @@ StatusOr<PartialPlan> Optimizer::Impl::CostJoinStep(const JoinGraph& graph,
           const RewriteStyle style = impl == FilterSetImpl::kBloom
                                          ? RewriteStyle::kProbe
                                          : RewriteStyle::kJoin;
-          std::string key_suffix;
-          for (int icol : sub_inner_local) {
-            key_suffix += "." + std::to_string(icol);
-          }
-          key_suffix += style == RewriteStyle::kJoin ? "_join" : "_probe";
-          std::ostringstream key_os;
-          key_os << inner.alias << "@" << static_cast<const void*>(
-              inner.node.get()) << key_suffix;
-          const std::string cache_key = key_os.str();
-          auto cache_it = parametric_.find(cache_key);
+          const std::span<const int> key_cols =
+              pos < 0 ? std::span<const int>(f.key_inner_cols)
+                      : std::span<const int>(&f.key_inner_cols[pos], 1);
+          auto cache_it = parametric_.find(optimizer_internal::ParametricKeyRef{
+              inner.node.get(), inner.alias, key_cols, style});
           if (cache_it == parametric_.end()) {
+            const std::vector<int> sub_inner_local(key_cols.begin(),
+                                                   key_cols.end());
             ParametricCache cache;
-            cache.pinned_node = inner.node;  // keeps the cache key unique
             cache.binding_id = NextBindingId(inner.alias);
             const LogicalPtr view_plan = inner.access == AccessKind::kView
                                              ? inner.entry->view_plan
@@ -907,18 +870,22 @@ StatusOr<PartialPlan> Optimizer::Impl::CostJoinStep(const JoinGraph& graph,
                 cache.rewritten,
                 MagicRewrite(view_plan, sub_inner_local, cache.binding_id,
                              style, catalog_));
-            std::vector<double> base_d = inner.base_distinct;
             cache.inner_key_domain =
-                ProductCappedAt(base_d, sub_inner_local,
-                                std::max(1.0, inner.base_rows));
+                KeyProductCappedAt(inner.base_distinct, fj_keys, pos,
+                                   InnerCol, std::max(1.0, inner.base_rows));
             cache.samples.assign(
                 static_cast<size_t>(std::max(1, options_->equivalence_classes)),
                 ParametricCache::Sample{-1.0, 0.0, 0.0});
-            cache_it = parametric_.emplace(cache_key, std::move(cache)).first;
+            cache_it =
+                parametric_
+                    .emplace(optimizer_internal::ParametricKey{
+                                 inner.node, inner.alias, sub_inner_local,
+                                 style},
+                             std::move(cache))
+                    .first;
           }
           ParametricCache& cache = cache_it->second;
-          binding = cache.binding_id;
-          rewritten = cache.rewritten;
+          variant_cache = &cache;
 
           double sigma =
               std::min(1.0, n_f / std::max(1.0, cache.inner_key_domain));
@@ -945,9 +912,9 @@ StatusOr<PartialPlan> Optimizer::Impl::CostJoinStep(const JoinGraph& graph,
                     ? 1.0
                     : std::pow(10.0, -kDecades + (bucket + 0.5) * kDecades / k);
             PlanContext trial = *ctx;
-            trial.filter_set_rows[binding] =
+            trial.filter_set_rows[cache.binding_id] =
                 std::max(1.0, sigma_c * cache.inner_key_domain);
-            trial.filter_set_fpr[binding] = 0.0;
+            trial.filter_set_fpr[cache.binding_id] = 0.0;
             const bool saved = collect_breakdowns_;
             collect_breakdowns_ = false;
             ++filter_join_depth_;
@@ -1008,52 +975,137 @@ StatusOr<PartialPlan> Optimizer::Impl::CostJoinStep(const JoinGraph& graph,
             costs::HashSpill(restricted_rows,
                              inner.planned.est.width_bytes, outer.rows,
                              outer.width, options_->memory_budget_bytes) +
-            (residuals.empty() ? 0.0 : costs::ExprEval(mid_rows));
+            (has_residuals ? costs::ExprEval(mid_rows) : 0.0);
 
         const double total = bd.StepTotal();
         if (best_cost < 0 || total < best_cost) {
           best_cost = total;
-          best_bd = bd;
-          best_impl = impl;
-          best_rewritten = rewritten;
-          best_binding = binding;
-          best_filter_positions =
-              subset.size() == fj_keys.size() ? std::vector<int>{} : subset;
+          out->breakdown = bd;
+          out->fs_impl = impl;
+          out->cache = variant_cache;
+          out->binding_number = variant_binding;
+          out->filter_key_pos = pos;
         }
        }
        }
       }
       if (best_cost < 0) break;
       step_cost = best_cost;
-      step->fs_impl = best_impl;
-      step->binding_id = best_binding.empty()
-                             ? NextBindingId(inner.alias)
-                             : best_binding;
-      step->rewritten_inner = best_rewritten;
-      step->breakdown = best_bd;
-      step->filter_key_positions = best_filter_positions;
+      // Tables get their binding number once the variant is chosen.
+      if (out->cache == nullptr && out->binding_number < 0) {
+        out->binding_number = next_binding_++;
+      }
       break;
     }
   }
 
-  if (step_cost < 0) {
-    return Status::InvalidArgument("method inapplicable");
+  if (step_cost < 0) return false;
+  out->cost = outer.cost + step_cost;
+  out->rows = std::max(0.0, out_rows);
+  return true;
+}
+
+std::span<const int> Optimizer::Impl::StepOrder(const PartialPlan& outer,
+                                                const StepFacts& facts,
+                                                const StepCost& cost) const {
+  if (!options_->interesting_orders) return {};
+  if (cost.method != StepMethod::kSortMerge) return outer.order_cols;
+  // A sort-merge join delivers its key order: the outer's leading columns
+  // when it arrived presorted, else the keys' outer columns.
+  if (cost.smj_outer_presorted) {
+    return std::span<const int>(outer.order_cols).first(facts.keys.size());
+  }
+  return facts.key_outer_cols;
+}
+
+PartialPlan Optimizer::Impl::BuildCandidate(const JoinGraph& graph,
+                                            const PartialPlan& outer,
+                                            const StepFacts& f,
+                                            const StepCost& cost) const {
+  const InputInfo& inner = graph.inputs[f.inner_id];
+  auto step = std::make_shared<JoinStep>();
+  step->method = cost.method;
+  step->input = f.inner_id;
+  step->outer = outer.step;
+  step->output_block_cols.reserve(outer.step->output_block_cols.size() +
+                                  inner.schema.num_columns());
+  step->output_block_cols = outer.step->output_block_cols;
+  for (int c = 0; c < inner.schema.num_columns(); ++c) {
+    step->output_block_cols.push_back(inner.col_offset + c);
+  }
+  step->keys = f.keys;
+  for (int i : f.applied) {
+    const Conjunct& conj = graph.conjuncts[i];
+    // NL applies every conjunct (keys included) as its predicate.
+    if (!conj.is_equi || cost.method == StepMethod::kNestedLoops) {
+      step->residuals.push_back(conj.expr);
+    }
+  }
+
+  if (inner.access == AccessKind::kFunction) {
+    // A function joins (by probe or by Filter Join) on its argument
+    // columns; equalities against its result columns apply after the call.
+    step->keys = f.arg_keys;
+    for (const auto& [ocol, icol] : f.keys) {
+      if (icol < inner.entry->function->arg_schema().num_columns()) continue;
+      const int bcol = inner.col_offset + icol;
+      step->residuals.push_back(MakeComparison(
+          CompareOp::kEq,
+          MakeColumnRef(ocol, graph.block_schema.column(ocol).type,
+                        graph.block_schema.column(ocol).QualifiedName()),
+          MakeColumnRef(bcol, graph.block_schema.column(bcol).type,
+                        graph.block_schema.column(bcol).QualifiedName())));
+    }
+  }
+
+  switch (cost.method) {
+    case StepMethod::kNestedLoops:
+      step->keys.clear();
+      break;
+    case StepMethod::kSortMerge:
+      step->smj_outer_presorted = cost.smj_outer_presorted;
+      if (cost.smj_outer_presorted) {
+        // Merge in the outer's order.
+        step->keys.clear();
+        for (size_t i = 0; i < f.keys.size(); ++i) {
+          for (const auto& kv : f.keys) {
+            if (kv.first == outer.order_cols[i]) {
+              step->keys.push_back(kv);
+              break;
+            }
+          }
+        }
+      }
+      break;
+    case StepMethod::kFilterJoin:
+      step->fs_impl = cost.fs_impl;
+      step->binding_id = cost.cache != nullptr
+                             ? cost.cache->binding_id
+                             : BindingId(inner.alias, cost.binding_number);
+      if (cost.cache != nullptr) step->rewritten_inner = cost.cache->rewritten;
+      step->breakdown = cost.breakdown;
+      if (cost.filter_key_pos >= 0) {
+        step->filter_key_positions = {cost.filter_key_pos};
+      }
+      break;
+    default:
+      break;
   }
 
   PartialPlan result;
-  result.set = new_set;
-  result.cost = outer.cost + step_cost;
-  result.rows = std::max(0.0, out_rows);
+  result.set = f.new_set;
+  result.cost = cost.cost;
+  result.rows = cost.rows;
   result.width = outer.width + inner.planned.est.width_bytes;
-  result.distinct = combined;
+  result.distinct = f.combined;
   for (double& d : result.distinct) {
     d = std::min(d, std::max(1.0, result.rows));
   }
-  result.order_cols = options_->interesting_orders ? order
-                                                   : std::vector<int>{};
+  const std::span<const int> order = StepOrder(outer, f, cost);
+  result.order_cols.assign(order.begin(), order.end());
   step->cost = result.cost;
   step->rows = result.rows;
-  result.step = step;
+  result.step = std::move(step);
   return result;
 }
 

@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <memory>
+#include <string_view>
 #include <thread>
 #include <tuple>
 #include <utility>
@@ -17,6 +18,7 @@
 #include "src/db/query_driver.h"
 #include "src/exec/exec_context.h"
 #include "src/exec/row_batch.h"
+#include "src/optimizer/join_order_backend.h"
 #include "src/spill/spill_manager.h"
 
 namespace magicdb {
@@ -173,6 +175,11 @@ QueryService::QueryService(Database* db, const QueryServiceOptions& options)
             &S::plan_cache_misses_by_backend);
   plan_instance_reuses_ = Count("magicdb_server_plan_instance_reuses_total",
                                 &S::plan_instance_reuses);
+  const std::vector<std::string> backends = JoinOrderBackendNames();
+  backend_cache_counters_ = std::vector<BackendCacheCounters>(backends.size());
+  for (size_t i = 0; i < backends.size(); ++i) {
+    backend_cache_counters_[i].name = backends[i];
+  }
   sched_quanta_ =
       Count("magicdb_server_sched_quanta_total", &S::sched_quanta);
   parallel_fallbacks_ =
@@ -778,6 +785,32 @@ StatusOr<Cursor> QueryService::Open(Session* session, const std::string& sql,
   return cursor;
 }
 
+void QueryService::CountPlanCacheLookup(const std::string& backend,
+                                        bool hit) {
+  const std::string_view name =
+      backend.empty() ? std::string_view("dp") : std::string_view(backend);
+  const char* series = hit ? "magicdb_server_plan_cache_hits_total"
+                           : "magicdb_server_plan_cache_misses_total";
+  for (BackendCacheCounters& b : backend_cache_counters_) {
+    if (b.name != name) continue;
+    std::atomic<Counter*>& slot = hit ? b.hits : b.misses;
+    Counter* counter = slot.load(std::memory_order_acquire);
+    if (counter == nullptr) {
+      // Racing first uses register the same series and store the same
+      // pointer.
+      counter = metrics_.counter(
+          series, {"backend", SanitizeReasonLabel(std::string(name))});
+      slot.store(counter, std::memory_order_release);
+    }
+    counter->Increment();
+    return;
+  }
+  // An unknown backend fails planning; its lookup is still counted.
+  metrics_.counter(series,
+                   {"backend", SanitizeReasonLabel(std::string(name))})
+      ->Increment();
+}
+
 StatusOr<Cursor> QueryService::OpenAdmitted(Session* session,
                                             const std::string& sql,
                                             const ExecOptions& exec,
@@ -810,10 +843,6 @@ StatusOr<Cursor> QueryService::OpenAdmitted(Session* session,
         OptimizerOptionsFingerprint(opts) + "\n" + sql +
         "\nbatch=" + std::to_string(effective_batch) +
         "\nfeedback=" + std::to_string(db_->feedback_store()->version());
-    const MetricLabel backend{
-        "backend", SanitizeReasonLabel(opts.join_order_backend.empty()
-                                           ? "dp"
-                                           : opts.join_order_backend)};
 
     // Parallel queries never reuse pooled instances (a gang needs fresh
     // replicas for shared-state wiring), so leave the pool untouched for
@@ -824,13 +853,11 @@ StatusOr<Cursor> QueryService::OpenAdmitted(Session* session,
                            want_instance ? &request.plan.root : nullptr);
     if (hit) {
       plan_cache_hits_->Increment();
-      metrics_.counter("magicdb_server_plan_cache_hits_total", backend)
-          ->Increment();
+      CountPlanCacheLookup(opts.join_order_backend, /*hit=*/true);
       if (request.plan.root != nullptr) plan_instance_reuses_->Increment();
     } else {
       plan_cache_misses_->Increment();
-      metrics_.counter("magicdb_server_plan_cache_misses_total", backend)
-          ->Increment();
+      CountPlanCacheLookup(opts.join_order_backend, /*hit=*/false);
       MAGICDB_ASSIGN_OR_RETURN(BoundSelect fresh_bound, db_->BindSelect(sql));
       MAGICDB_ASSIGN_OR_RETURN(
           request.plan,

@@ -409,6 +409,10 @@ class QueryService {
   /// kReoptimizeRequested status message).
   void RecordReoptimization(const std::string& reason);
 
+  /// Bumps the plan-cache hit or miss series labelled with the query's
+  /// join-order backend.
+  void CountPlanCacheLookup(const std::string& backend, bool hit);
+
   /// Registers a counter series once, binding it to the ServiceStats field
   /// StatsSnapshot fills from it (null: MetricsText only); its labelled
   /// series land in `family`, keyed by label value.
@@ -502,6 +506,15 @@ class QueryService {
   Counter* plan_cache_hits_;
   Counter* plan_cache_misses_;
   Counter* plan_instance_reuses_;
+  /// Per-backend plan-cache series of the registered join-order backends,
+  /// registered on first use (so a backend's series appears only once a
+  /// query used it) and then read without the registry lock.
+  struct BackendCacheCounters {
+    std::string name;
+    std::atomic<Counter*> hits{nullptr};
+    std::atomic<Counter*> misses{nullptr};
+  };
+  std::vector<BackendCacheCounters> backend_cache_counters_;
   Counter* sched_quanta_;
   Counter* parallel_fallbacks_;
   Counter* reoptimizations_;

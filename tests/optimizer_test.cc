@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 
 #include "src/common/logging.h"
@@ -417,6 +418,61 @@ TEST(OptimizerTest, FunctionJoinBindsArguments) {
   }
   // The optimizer must not invoke once per row when dedup is cheaper.
   EXPECT_LE(ctx.counters().function_invocations, 4);
+}
+
+TEST(OptimizerTest, FunctionFilterJoinKeepsResultColumnEquality) {
+  // T.v binds the argument, T.w must equal the result: w == v * v holds on
+  // one row in ten. A Filter Join into the function probes by argument
+  // only, so it must apply the result-column equality after the call, as
+  // the probe joins do.
+  Catalog cat;
+  Schema ts({{"", "v", DataType::kInt64}, {"", "w", DataType::kInt64}});
+  Table* t = *cat.CreateTable("T", ts);
+  for (int i = 0; i < 3000; ++i) {
+    const int64_t v = i % 30;
+    MAGICDB_CHECK_OK(
+        t->Insert({Value::Int64(v), Value::Int64(i % 10 == 0 ? v * v : -1)}));
+  }
+  MAGICDB_CHECK_OK(cat.AnalyzeAll());
+  MAGICDB_CHECK_OK(cat.RegisterFunction(std::make_unique<LambdaTableFunction>(
+      "square", Schema({{"", "a", DataType::kInt64}}),
+      Schema({{"", "sq", DataType::kInt64}}),
+      [](const Tuple& in, std::vector<Tuple>* out) {
+        out->push_back({Value::Int64(in[0].AsInt64() * in[0].AsInt64())});
+        return Status::OK();
+      })));
+  auto tscan = std::make_shared<RelScanNode>(
+      "T", "T", t->schema().WithQualifier("T"));
+  const CatalogEntry* fentry = *cat.Lookup("square");
+  auto fscan = std::make_shared<RelScanNode>(
+      "square", "S", fentry->schema.WithQualifier("S"));
+  Schema block = tscan->schema().Concat(fscan->schema());
+  ExprPtr pred = MakeAnd(
+      MakeComparison(CompareOp::kEq, MakeColumnRef(0, DataType::kInt64),
+                     MakeColumnRef(2, DataType::kInt64)),
+      MakeComparison(CompareOp::kEq, MakeColumnRef(1, DataType::kInt64),
+                     MakeColumnRef(3, DataType::kInt64)));
+  auto join = std::make_shared<NaryJoinNode>(
+      std::vector<LogicalPtr>{tscan, fscan}, pred, block);
+  for (auto mode : {OptimizerOptions::MagicMode::kNever,
+                    OptimizerOptions::MagicMode::kCostBased}) {
+    OptimizerOptions opts;
+    opts.magic_mode = mode;
+    opts.enable_function_memo = false;  // per-row probes lose to the FJ
+    Optimizer opt(&cat, opts);
+    auto plan = opt.Optimize(LogicalPtr(join));
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    EXPECT_EQ(plan->explain.find("FilterJoin") != std::string::npos,
+              mode == OptimizerOptions::MagicMode::kCostBased)
+        << plan->explain;
+    ExecContext ctx;
+    auto rows = ExecuteToVector(plan->root.get(), &ctx);
+    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+    EXPECT_EQ(rows->size(), 300u) << plan->explain;
+    EXPECT_TRUE(std::all_of(rows->begin(), rows->end(), [](const Tuple& r) {
+      return r[1].AsInt64() == r[3].AsInt64();
+    }));
+  }
 }
 
 TEST(OptimizerTest, FunctionWithoutBindingFails) {

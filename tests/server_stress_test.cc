@@ -358,6 +358,9 @@ TEST(ServerStressTest, ConcurrentCursorsStreamIdenticalResults) {
   so.max_concurrent_queries = 6;
   so.scheduler_quantum_rows = 32;  // many quanta per query
   so.stream_queue_rows = 64;       // tight queues: backpressure engages
+  // Explicit cursors are never retried after a shed, and the test counts
+  // every open: shedding stays off even under an overload env sweep.
+  so.shed_queue_depth = -1;
   QueryService service(&db, so);
 
   constexpr int kSessions = 6;

@@ -21,8 +21,6 @@
 // `--smoke` shrinks the workload to a seconds-long CI pass (used by
 // scripts/check.sh under TSAN and ASAN to race-test the cursor plumbing).
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -62,24 +60,6 @@ constexpr int kNumStatements = 3;
 // Streaming workload: a wide scan whose result dwarfs the cursor queue, so
 // time-to-first-row genuinely measures streaming (not result size).
 const char* kStreamQuery = "SELECT E.did, E.sal, E.age FROM Emp E";
-
-// Low-memory workload: each shape retains hundreds of KB against a 64 KB
-// per-query limit, so completing at all requires the spill subsystem.
-// Keyed on sal (effectively unique), giving a ~240 KB self-join build and
-// ~10000 aggregate groups on the fixed-size low-memory database.
-struct LowMemQuery {
-  const char* shape;
-  const char* sql;
-};
-const LowMemQuery kLowMemQueries[] = {
-    {"hash_join",
-     "SELECT A.did, B.sal FROM Emp A, Emp B WHERE A.sal = B.sal"},
-    {"hash_agg",
-     "SELECT E.sal, COUNT(*) AS c, MIN(E.age) AS m FROM Emp E "
-     "GROUP BY E.sal"},
-    {"sort", "SELECT E.sal, E.age FROM Emp E ORDER BY sal DESC, age"},
-};
-constexpr int64_t kLowMemLimitBytes = 64 * 1024;
 
 std::string Fmt(double v) {
   std::ostringstream os;
@@ -213,64 +193,6 @@ StreamResult RunStreaming(Database* db, const QueryResult& baseline, int dop) {
     if (iter == 0 || out.ttlr_us < best.ttlr_us) best = out;
   }
   return best;
-}
-
-struct LowMemResult {
-  double in_memory_us = 0.0;
-  double spill_us = 0.0;
-  int64_t rows = 0;
-  int64_t spill_bytes_written = 0;
-  int64_t spill_bytes_read = 0;
-  int64_t memory_peak_bytes = 0;
-};
-
-/// One governed-vs-ungoverned pair per query shape on a dedicated
-/// fixed-size database (the section's numbers should not shrink with
-/// --smoke: a spill ratio on a tiny input measures nothing). Rows are
-/// verified byte-identical between both runs and the sequential baseline.
-LowMemResult RunLowMemory(Database* db, Session* session,
-                          const QueryResult& baseline,
-                          const LowMemQuery& q) {
-  auto timed_drain = [&](const ExecOptions& exec, double* us,
-                         int64_t* peak) -> CostCounters {
-    const auto t0 = std::chrono::steady_clock::now();
-    auto cursor = session->Open(q.sql, exec);
-    MAGICDB_CHECK_OK(cursor.status());
-    std::vector<Tuple> rows;
-    while (true) {
-      auto batch = cursor->Fetch(256);
-      MAGICDB_CHECK_OK(batch.status());
-      if (batch->empty()) break;
-      for (Tuple& t : *batch) rows.push_back(std::move(t));
-    }
-    *us = std::chrono::duration<double, std::micro>(
-              std::chrono::steady_clock::now() - t0)
-              .count();
-    *peak = cursor->memory_peak_bytes();
-    MAGICDB_CHECK(rows.size() == baseline.rows.size());
-    for (size_t i = 0; i < rows.size(); ++i) {
-      MAGICDB_CHECK(CompareTuples(rows[i], baseline.rows[i]) == 0);
-    }
-    CostCounters counters = cursor->counters();
-    MAGICDB_CHECK_OK(cursor->Close());
-    return counters;
-  };
-
-  LowMemResult out;
-  out.rows = static_cast<int64_t>(baseline.rows.size());
-  int64_t unused_peak = 0;
-  ExecOptions ungoverned;
-  timed_drain(ungoverned, &out.in_memory_us, &unused_peak);
-
-  ExecOptions governed;
-  governed.memory_limit_bytes = kLowMemLimitBytes;
-  const CostCounters counters =
-      timed_drain(governed, &out.spill_us, &out.memory_peak_bytes);
-  out.spill_bytes_written = counters.spill_bytes_written;
-  out.spill_bytes_read = counters.spill_bytes_read;
-  MAGICDB_CHECK(out.spill_bytes_written > 0);  // the limit must have bitten
-  MAGICDB_CHECK(out.memory_peak_bytes <= kLowMemLimitBytes);
-  return out;
 }
 
 // ----- overload section -----
@@ -511,65 +433,9 @@ void Run(const std::string& json_path, bool smoke) {
   std::cout << "(batches concatenate byte-identical to Database::Run(); "
                "peak buffered rows bounded by queue + one quantum)\n\n";
 
-  // Low-memory section: out-of-core throughput. Fixed-size database on
-  // purpose — see RunLowMemory.
-  Figure1Options lm_opts = opts;
-  lm_opts.num_depts = 500;
-  auto lm_db = MakeFigure1Database(lm_opts);
-  auto* lm_options = lm_db->mutable_optimizer_options();
-  lm_options->enable_nested_loops = false;
-  lm_options->enable_index_nested_loops = false;
-  lm_options->enable_sort_merge = false;
-  char spill_dir_templ[] = "/tmp/magicdb-bench-spill-XXXXXX";
-  MAGICDB_CHECK(mkdtemp(spill_dir_templ) != nullptr);
-  QueryServiceOptions lm_so;
-  lm_so.pool_threads = 2;
-  lm_so.spill_dir = spill_dir_templ;
-  // Small write buffers: with a 64 KB limit the per-partition buffers and
-  // the final merge frames must fit inside the limit they serve.
-  lm_so.spill_batch_bytes = 256;
-  // The result queue charges against the same limit and cannot spill; keep
-  // its high-water mark well under the governed budget.
-  lm_so.scheduler_quantum_rows = 128;
-  lm_so.stream_queue_rows = 256;
-  QueryService lm_service(lm_db.get(), lm_so);
-  std::unique_ptr<Session> lm_session = lm_service.CreateSession();
-
-  std::cout << "low-memory: governed at " << kLowMemLimitBytes
-            << " bytes per query (spill area " << spill_dir_templ
-            << ") vs ungoverned, sequential, 10000-row Emp\n\n";
-  TablePrinter lm_table({"shape", "rows", "in_memory_us", "spill_us",
-                         "slowdown", "spill_written", "spill_read",
-                         "peak_bytes"});
-  Json lm_results = Json::Array();
-  for (const LowMemQuery& q : kLowMemQueries) {
-    auto lm_baseline = lm_db->Run(q.sql);
-    MAGICDB_CHECK_OK(lm_baseline.status());
-    const LowMemResult r =
-        RunLowMemory(lm_db.get(), lm_session.get(), *lm_baseline, q);
-    lm_table.AddRow({q.shape, std::to_string(r.rows), Fmt(r.in_memory_us),
-                     Fmt(r.spill_us), Fmt(r.spill_us / r.in_memory_us),
-                     std::to_string(r.spill_bytes_written),
-                     std::to_string(r.spill_bytes_read),
-                     std::to_string(r.memory_peak_bytes)});
-    lm_results.Append(Json::Object()
-                          .Set("shape", q.shape)
-                          .Set("rows", r.rows)
-                          .Set("in_memory_us", r.in_memory_us)
-                          .Set("spill_us", r.spill_us)
-                          .Set("spill_bytes_written", r.spill_bytes_written)
-                          .Set("spill_bytes_read", r.spill_bytes_read)
-                          .Set("memory_peak_bytes", r.memory_peak_bytes)
-                          .Set("memory_limit_bytes", kLowMemLimitBytes));
-  }
-  lm_table.Print();
-  std::cout << "(rows byte-identical in-memory vs spilled; tracker peak "
-               "never exceeds the limit)\n";
-  rmdir(spill_dir_templ);  // succeeds only if every temp file was unlinked
-
   // Overload section: high-priority latency under a saturating background
   // fleet, with shedding engaged.
-  std::cout << "\noverload: 2 high-priority sessions, unloaded vs under 8 "
+  std::cout << "overload: 2 high-priority sessions, unloaded vs under 8 "
                "background sessions (max_concurrent 1, shed_queue_depth 4)"
                "\n\n";
   const OverloadResult ov = RunOverload(db.get(), baseline, smoke);
@@ -616,7 +482,6 @@ void Run(const std::string& json_path, bool smoke) {
                    .Set("results", std::move(results))
                    .Set("batch_vs_row", std::move(batch_results))
                    .Set("streaming", std::move(stream_results))
-                   .Set("low_memory", std::move(lm_results))
                    .Set("overload", std::move(ov_result));
     if (WriteJsonFile(json_path, doc)) {
       std::cout << "JSON results written to " << json_path << "\n";

@@ -56,68 +56,91 @@
 # must shed instead of queueing unboundedly, Query()'s retry loop must
 # absorb the rejections, and survivors must stay byte-identical with zero
 # leaked tickets, gang slots, cursors, or disk-budget bytes.
+# Every section runs even when an earlier one fails; a summary at the end
+# lists each section's status, and the script exits non-zero if any failed.
 # Usage: scripts/check.sh [extra ctest args...]
-set -euo pipefail
-cd "$(dirname "$0")/.."
+set -uo pipefail
+cd "$(dirname "$0")/.." || exit 1
 
 JOBS="$(nproc 2>/dev/null || echo 2)"
 
-echo "=== Release build ==="
-cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
-cmake --build build-release -j "${JOBS}"
-ctest --test-dir build-release --output-on-failure --timeout 120 -j "${JOBS}" "$@"
+RESULTS=()
+FAILURES=0
+# Runs one named section (the remaining arguments are its command) and
+# records whether it passed.
+section() {
+  local name="$1"
+  shift
+  echo "=== ${name} ==="
+  if "$@"; then
+    RESULTS+=("PASS  ${name}")
+  else
+    RESULTS+=("FAIL  ${name}")
+    FAILURES=$((FAILURES + 1))
+    echo "*** section failed: ${name}"
+  fi
+}
+
+# Configures and builds one tree: build_tree <dir> <cmake args...>.
+build_tree() {
+  local dir="$1"
+  shift
+  cmake -B "${dir}" -S . "$@" >/dev/null && cmake --build "${dir}" -j "${JOBS}"
+}
+
+# Full suite of one tree under optional env assignments:
+# suite <dir> [VAR=value...] [-- extra ctest args].
+suite() {
+  local dir="$1"
+  shift
+  env "$@" ctest --test-dir "${dir}" --output-on-failure --timeout 120 \
+      -j "${JOBS}" "${CTEST_ARGS[@]}"
+}
+CTEST_ARGS=("$@")
+
+section "Release build" build_tree build-release -DCMAKE_BUILD_TYPE=Release
+section "Release suite" suite build-release
 
 # Vectorized-execution sweep: the default run above executes every query
 # in 1024-row batches; rerun the full suite with batching forced off
 # (tuple-at-a-time) and at a deliberately awkward batch size. Results must
 # be byte-identical in all three modes — the suite's identity assertions
 # do the comparing.
-echo "=== Release suite, batching forced off ==="
-MAGICDB_TEST_BATCH_SIZE=0 \
-  ctest --test-dir build-release --output-on-failure --timeout 120 \
-        -j "${JOBS}" "$@"
-
-echo "=== Release suite, batch size 7 ==="
-MAGICDB_TEST_BATCH_SIZE=7 \
-  ctest --test-dir build-release --output-on-failure --timeout 120 \
-        -j "${JOBS}" "$@"
+section "Release suite, batching forced off" \
+  suite build-release MAGICDB_TEST_BATCH_SIZE=0
+section "Release suite, batch size 7" \
+  suite build-release MAGICDB_TEST_BATCH_SIZE=7
 
 # Adaptive re-optimization sweep: rerun the full suite with runtime
 # cardinality feedback forced maximally aggressive (any estimation error
 # restarts planning at every pipeline breaker) and explicitly off. The
 # suite's byte-identity assertions verify that restart-based re-planning
 # never changes results; only tests that pin their own threshold opt out.
-echo "=== Release suite, re-optimization forced aggressive ==="
-MAGICDB_TEST_REOPT_QERROR=1.0 \
-  ctest --test-dir build-release --output-on-failure --timeout 120 \
-        -j "${JOBS}" "$@"
+section "Release suite, re-optimization forced aggressive" \
+  suite build-release MAGICDB_TEST_REOPT_QERROR=1.0
+section "Release suite, re-optimization forced off" \
+  suite build-release MAGICDB_TEST_REOPT_QERROR=0
 
-echo "=== Release suite, re-optimization forced off ==="
-MAGICDB_TEST_REOPT_QERROR=0 \
-  ctest --test-dir build-release --output-on-failure --timeout 120 \
-        -j "${JOBS}" "$@"
+section "Parallel-scaling bench smoke (Release, DoP 2)" \
+  ./build-release/bench/bench_parallel_scaling --smoke
 
-echo "=== Parallel-scaling bench smoke (Release, DoP 2) ==="
-./build-release/bench/bench_parallel_scaling --smoke
-
-echo "=== Server-throughput bench smoke (Release) ==="
-./build-release/bench/bench_server_throughput --smoke
+section "Server-throughput bench smoke (Release)" \
+  ./build-release/bench/bench_server_throughput --smoke
 
 # Planning-effort table (stars of up to 8 inputs, three optimizer
 # configurations, 15 plans each): its exact effort counts must not vary
 # between repetitions, and it exercises the lazily built DP entries on
 # wider blocks than the test suite's plan corpus.
-echo "=== Optimizer-complexity table (Release) ==="
-./build-release/bench/bench_sec3_opt_complexity --benchmark_filter=NONE
+section "Optimizer-complexity table (Release)" \
+  ./build-release/bench/bench_sec3_opt_complexity --benchmark_filter=NONE
 
 # Repository-benchmark smoke: every magicbench workload for 3 s at seed 1.
 # Each query passes the benchmark's own gates (DoP identity on analytic,
 # the magic-off oracle on views_adhoc, spill identity under a 1 MiB limit on
 # analytic_spill); any wrong answer or failed query fails the check.
-for workload in views_adhoc analytic analytic_spill; do
-  echo "=== magicbench smoke: ${workload} (Release, seed 1, 3 s) ==="
+magicbench_smoke() {
   CARGO_TARGET_DIR=build-release \
-    python3 magicbench/run.py --workload "${workload}" --seed 1 \
+    python3 magicbench/run.py --workload "$1" --seed 1 \
         --seconds 3 --trace 0 | tail -n 1 |
     python3 -c 'import json, sys
 r = json.loads(sys.stdin.read())
@@ -125,49 +148,43 @@ if not r["correct"] or r["failed"] != 0:
     sys.exit("magicbench smoke failed: correct=%s failed=%s of %s"
              % (r["correct"], r["failed"], r["attempted"]))
 print("magicbench smoke: %d queries, all correct" % r["attempted"])'
+}
+for workload in views_adhoc analytic analytic_spill; do
+  section "magicbench smoke: ${workload} (Release, seed 1, 3 s)" \
+    magicbench_smoke "${workload}"
 done
 
-echo "=== ThreadSanitizer build ==="
-cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-      -DMAGICDB_SANITIZE=thread >/dev/null
-cmake --build build-tsan -j "${JOBS}"
-ctest --test-dir build-tsan --output-on-failure --timeout 120 -j "${JOBS}" "$@"
-
-echo "=== TSAN suite, re-optimization forced aggressive ==="
-MAGICDB_TEST_REOPT_QERROR=1.0 \
-  ctest --test-dir build-tsan --output-on-failure --timeout 120 \
-        -j "${JOBS}" "$@"
+section "ThreadSanitizer build" build_tree build-tsan \
+  -DCMAKE_BUILD_TYPE=RelWithDebInfo -DMAGICDB_SANITIZE=thread
+section "ThreadSanitizer suite" suite build-tsan
+section "TSAN suite, re-optimization forced aggressive" \
+  suite build-tsan MAGICDB_TEST_REOPT_QERROR=1.0
 
 # Metric scrapes call read-through gauges that take service locks (the
 # admission mutex, the pool, the spill area) while queries run: repeat the
 # concurrent-scrape test so TSAN sees many scrape/query interleavings.
-echo "=== TSAN concurrent metric scrapes (20 repeats) ==="
-./build-tsan/tests/magicdb_tests \
-  --gtest_filter=ServerStressTest.ConcurrentScrapesSeeMonotoneCounters \
-  --gtest_repeat=20
+section "TSAN concurrent metric scrapes (20 repeats)" \
+  ./build-tsan/tests/magicdb_tests \
+    --gtest_filter=ServerStressTest.ConcurrentScrapesSeeMonotoneCounters \
+    --gtest_repeat=20
 
-echo "=== Parallel-scaling bench smoke (TSAN, DoP 2) ==="
-./build-tsan/bench/bench_parallel_scaling --smoke
+section "Parallel-scaling bench smoke (TSAN, DoP 2)" \
+  ./build-tsan/bench/bench_parallel_scaling --smoke
 
-echo "=== Server-throughput bench smoke (TSAN) ==="
-./build-tsan/bench/bench_server_throughput --smoke
+section "Server-throughput bench smoke (TSAN)" \
+  ./build-tsan/bench/bench_server_throughput --smoke
 
-echo "=== AddressSanitizer+UBSan build ==="
-cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-      -DMAGICDB_SANITIZE=address >/dev/null
-cmake --build build-asan -j "${JOBS}"
-ctest --test-dir build-asan --output-on-failure --timeout 120 -j "${JOBS}" "$@"
+section "AddressSanitizer+UBSan build" build_tree build-asan \
+  -DCMAKE_BUILD_TYPE=RelWithDebInfo -DMAGICDB_SANITIZE=address
+section "AddressSanitizer+UBSan suite" suite build-asan
+section "ASan+UBSan suite, batching forced off" \
+  suite build-asan MAGICDB_TEST_BATCH_SIZE=0
 
-echo "=== ASan+UBSan suite, batching forced off ==="
-MAGICDB_TEST_BATCH_SIZE=0 \
-  ctest --test-dir build-asan --output-on-failure --timeout 120 \
-        -j "${JOBS}" "$@"
+section "Server-throughput bench smoke (ASan+UBSan)" \
+  ./build-asan/bench/bench_server_throughput --smoke
 
-echo "=== Server-throughput bench smoke (ASan+UBSan) ==="
-./build-asan/bench/bench_server_throughput --smoke
-
-echo "=== Optimizer-complexity table (ASan+UBSan) ==="
-./build-asan/bench/bench_sec3_opt_complexity --benchmark_filter=NONE
+section "Optimizer-complexity table (ASan+UBSan)" \
+  ./build-asan/bench/bench_sec3_opt_complexity --benchmark_filter=NONE
 
 CHAOS_FILTER='ChaosTest.*:ExecFailpointTest.*:MemoryGovernorTest.*:MemoryTrackerTest.*:ServerStressTest.*:SpillChaosTest.*:DdlChaosTest.*:OverloadTest.*:OverloadFairnessTest.*:OverloadChaosTest.*'
 
@@ -195,44 +212,49 @@ LOWMEM_ENV=(
   MAGICDB_FAILPOINT_DELAYS='spill.write:20,spill.read:20,spill.partition.open:20'
 )
 
-echo "=== Chaos build (Release + failpoints) ==="
-cmake -B build-chaos -S . -DCMAKE_BUILD_TYPE=Release \
-      -DMAGICDB_FAILPOINTS=ON >/dev/null
-cmake --build build-chaos -j "${JOBS}"
-./build-chaos/tests/magicdb_tests --gtest_filter="${CHAOS_FILTER}"
+section "Chaos build (Release + failpoints)" build_tree build-chaos \
+  -DCMAKE_BUILD_TYPE=Release -DMAGICDB_FAILPOINTS=ON
+section "Chaos suite (Release + failpoints)" \
+  ./build-chaos/tests/magicdb_tests --gtest_filter="${CHAOS_FILTER}"
 
-echo "=== Low-memory chaos sweep (Release + failpoints, full suite) ==="
-env "${LOWMEM_ENV[@]}" ./build-chaos/tests/magicdb_tests
+section "Low-memory chaos sweep (Release + failpoints, full suite)" \
+  env "${LOWMEM_ENV[@]}" ./build-chaos/tests/magicdb_tests
 
 # The query driver is where re-planning meets the memory-pressure degrade
 # (a gang that cannot spill reruns sequentially, re-planned under the
 # attempt's overlay): rerun the low-memory sweep with re-optimization forced
 # maximally aggressive so both paths are exercised together.
-echo "=== Low-memory chaos sweep, re-optimization forced aggressive (Release + failpoints, full suite) ==="
-env "${LOWMEM_ENV[@]}" MAGICDB_TEST_REOPT_QERROR=1.0 \
-  ./build-chaos/tests/magicdb_tests
+section "Low-memory chaos sweep, re-optimization forced aggressive (Release + failpoints, full suite)" \
+  env "${LOWMEM_ENV[@]}" MAGICDB_TEST_REOPT_QERROR=1.0 \
+    ./build-chaos/tests/magicdb_tests
 
-echo "=== Overload chaos sweep (Release + failpoints) ==="
-env "${OVERLOAD_ENV[@]}" \
-  ./build-chaos/tests/magicdb_tests --gtest_filter="${OVERLOAD_FILTER}"
+section "Overload chaos sweep (Release + failpoints)" \
+  env "${OVERLOAD_ENV[@]}" \
+    ./build-chaos/tests/magicdb_tests --gtest_filter="${OVERLOAD_FILTER}"
 
-echo "=== Chaos build (TSAN + failpoints) ==="
-cmake -B build-chaos-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-      -DMAGICDB_SANITIZE=thread -DMAGICDB_FAILPOINTS=ON >/dev/null
-cmake --build build-chaos-tsan -j "${JOBS}"
-./build-chaos-tsan/tests/magicdb_tests --gtest_filter="${CHAOS_FILTER}"
+section "Chaos build (TSAN + failpoints)" build_tree build-chaos-tsan \
+  -DCMAKE_BUILD_TYPE=RelWithDebInfo -DMAGICDB_SANITIZE=thread \
+  -DMAGICDB_FAILPOINTS=ON
+section "Chaos suite (TSAN + failpoints)" \
+  ./build-chaos-tsan/tests/magicdb_tests --gtest_filter="${CHAOS_FILTER}"
 
-echo "=== Overload chaos sweep (TSAN + failpoints) ==="
-env "${OVERLOAD_ENV[@]}" \
-  ./build-chaos-tsan/tests/magicdb_tests --gtest_filter="${OVERLOAD_FILTER}"
+section "Overload chaos sweep (TSAN + failpoints)" \
+  env "${OVERLOAD_ENV[@]}" \
+    ./build-chaos-tsan/tests/magicdb_tests --gtest_filter="${OVERLOAD_FILTER}"
 
-echo "=== Chaos build (ASan+UBSan + failpoints) ==="
-cmake -B build-chaos-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-      -DMAGICDB_SANITIZE=address -DMAGICDB_FAILPOINTS=ON >/dev/null
-cmake --build build-chaos-asan -j "${JOBS}"
-./build-chaos-asan/tests/magicdb_tests --gtest_filter="${CHAOS_FILTER}"
+section "Chaos build (ASan+UBSan + failpoints)" build_tree build-chaos-asan \
+  -DCMAKE_BUILD_TYPE=RelWithDebInfo -DMAGICDB_SANITIZE=address \
+  -DMAGICDB_FAILPOINTS=ON
+section "Chaos suite (ASan+UBSan + failpoints)" \
+  ./build-chaos-asan/tests/magicdb_tests --gtest_filter="${CHAOS_FILTER}"
 
-echo "=== Low-memory chaos sweep (ASan+UBSan + failpoints, full suite) ==="
-env "${LOWMEM_ENV[@]}" ./build-chaos-asan/tests/magicdb_tests
+section "Low-memory chaos sweep (ASan+UBSan + failpoints, full suite)" \
+  env "${LOWMEM_ENV[@]}" ./build-chaos-asan/tests/magicdb_tests
 
+echo "=== Summary ==="
+printf '%s\n' "${RESULTS[@]}"
+if ((FAILURES > 0)); then
+  echo "${FAILURES} of ${#RESULTS[@]} sections failed."
+  exit 1
+fi
 echo "All checks passed."

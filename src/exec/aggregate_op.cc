@@ -379,10 +379,7 @@ Status HashAggregateOp::Open(ExecContext* ctx) {
         MAGICDB_RETURN_IF_ERROR(agg_spill_->EvictNextPartition(
             &groups_, &group_index_, &charged_bytes_, ctx));
       }
-      MAGICDB_RETURN_IF_ERROR(agg_spill_->FinishInput(ctx));
-      MAGICDB_RETURN_IF_ERROR(agg_spill_->BuildOutput(std::move(groups_), ctx));
-      groups_.clear();
-      group_index_.Clear();
+      MAGICDB_RETURN_IF_ERROR(agg_spill_->BuildOutput(ctx));
       aggregated_ = true;
       return Status::OK();
     }

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/spill/row_serde.h"
+
 namespace magicdb {
 
 // ----- FilterOp -----
@@ -189,13 +191,71 @@ SortOp::SortOp(OpPtr child, std::vector<SortKey> keys)
       child_(std::move(child)),
       keys_(std::move(keys)) {}
 
+int SortOp::Order::CompareKeys(const Tuple& a, const Tuple& b) const {
+  for (size_t k = 0; k < ascending.size(); ++k) {
+    const int c = a[k].Compare(b[k]);
+    if (c != 0) return ascending[k] ? c : -c;
+  }
+  return 0;
+}
+
+Status SortOp::Order::Read(std::string_view record, Record* r) {
+  spill::RecordReader reader(record.data(), record.size());
+  MAGICDB_RETURN_IF_ERROR(reader.ReadI64(&r->seq));
+  MAGICDB_RETURN_IF_ERROR(reader.ReadTuple(&r->key));
+  return reader.ReadTuple(&r->row);
+}
+
+void SortOp::Order::Append(int64_t seq, const Tuple& key, const Tuple& row,
+                           std::string* out) {
+  spill::AppendI64(out, seq);
+  spill::AppendTuple(out, key);
+  spill::AppendTuple(out, row);
+}
+
+std::vector<int64_t> SortOp::SortIndexes(const std::vector<Tuple>& keys) const {
+  std::vector<int64_t> order(keys.size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int64_t>(i);
+  std::sort(order.begin(), order.end(), [&](int64_t a, int64_t b) {
+    const int c = merge_->order().CompareKeys(keys[a], keys[b]);
+    if (c != 0) return c < 0;
+    return a < b;  // stable tiebreak: input order
+  });
+  return order;
+}
+
+Status SortOp::SpillRun(std::vector<Tuple>* rows, std::vector<Tuple>* keys) {
+  // Release the buffered rows' charge before reserving the write buffer:
+  // the breach that triggered this flush left the tracker full, and the
+  // rows stream out of memory as the run is written.
+  ctx_->ReleaseMemory(charged_bytes_);
+  charged_bytes_ = 0;
+  SpillManager* mgr = ctx_->spill_manager().get();
+  SpillReservation write_buffer;
+  MAGICDB_RETURN_IF_ERROR(
+      write_buffer.Acquire(ctx_, mgr->config().batch_bytes));
+  auto file = std::make_unique<SpillFile>(mgr, "sort-run");
+  for (int64_t i : SortIndexes(*keys)) {
+    scratch_.clear();
+    Order::Append(base_seq_ + i, (*keys)[i], (*rows)[i], &scratch_);
+    MAGICDB_RETURN_IF_ERROR(file->Append(scratch_, ctx_));
+  }
+  MAGICDB_RETURN_IF_ERROR(file->FinishWrite(ctx_));
+  merge_->AddRun(std::move(file));
+  base_seq_ += static_cast<int64_t>(rows->size());
+  rows->clear();
+  keys->clear();
+  return Status::OK();
+}
+
 Status SortOp::Open(ExecContext* ctx) {
   ctx_ = ctx;
-  sorted_.clear();
-  next_ = 0;
-  sorter_.reset();
   charged_bytes_ = 0;
   base_seq_ = 0;
+  std::vector<bool> ascending;
+  for (const SortKey& sk : keys_) ascending.push_back(sk.ascending);
+  merge_ = std::make_unique<RunMerge<Order>>(ctx->spill_manager(),
+                                             Order{std::move(ascending)});
   MAGICDB_RETURN_IF_ERROR(child_->Open(ctx));
   std::vector<Tuple> rows;
   std::vector<Tuple> row_keys;
@@ -223,17 +283,7 @@ Status SortOp::Open(ExecContext* ctx) {
           !ctx->spill_enabled()) {
         return charge;
       }
-      if (sorter_ == nullptr) {
-        std::vector<bool> ascending;
-        ascending.reserve(keys_.size());
-        for (const SortKey& sk : keys_) ascending.push_back(sk.ascending);
-        sorter_ = std::make_unique<ExternalSorter>(ctx->spill_manager(),
-                                                   std::move(ascending));
-      }
-      const int64_t flushed = static_cast<int64_t>(rows.size());
-      MAGICDB_RETURN_IF_ERROR(
-          sorter_->SpillRun(&rows, &row_keys, base_seq_, &charged_bytes_, ctx));
-      base_seq_ += flushed;
+      MAGICDB_RETURN_IF_ERROR(SpillRun(&rows, &row_keys));
       // Second failure is final: even one row does not fit.
       MAGICDB_RETURN_IF_ERROR(ctx->ChargeMemory(row_bytes));
     }
@@ -251,55 +301,39 @@ Status SortOp::Open(ExecContext* ctx) {
         static_cast<double>(total_rows) *
         std::ceil(std::log2(static_cast<double>(total_rows))));
   }
-  if (sorter_ != nullptr) {
-    // Out of core: the final buffer becomes the resident run and Next()
-    // k-way merges. Real page I/O was charged by the spill files, so the
-    // heuristic below is skipped.
-    return sorter_->FinishInput(std::move(rows), std::move(row_keys),
-                                base_seq_, ctx);
-  }
-
-  const int64_t n = static_cast<int64_t>(rows.size());
-  std::vector<int64_t> order(rows.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int64_t>(i);
-  std::sort(order.begin(), order.end(), [&](int64_t a, int64_t b) {
-    for (size_t k = 0; k < keys_.size(); ++k) {
-      const int c = row_keys[a][k].Compare(row_keys[b][k]);
-      if (c != 0) return keys_[k].ascending ? c < 0 : c > 0;
-    }
-    return a < b;  // stable tiebreak
-  });
-  sorted_.reserve(rows.size());
-  for (int64_t i : order) sorted_.push_back(std::move(rows[i]));
-
   // External passes when the input exceeds the memory budget: one full
-  // write + read of the data per predicted pass.
-  if (bytes > ctx->memory_budget_bytes()) {
+  // write + read of the data per predicted pass. Out of core, real page
+  // I/O was charged by the spill files instead.
+  if (merge_->runs() == 0 && bytes > ctx->memory_budget_bytes()) {
     const int64_t passes =
         SpillPasses(static_cast<double>(bytes),
                     static_cast<double>(ctx->memory_budget_bytes()));
-    const int64_t pages =
-        PagesForRows(n, std::max<int64_t>(1, bytes / std::max<int64_t>(1, n)));
+    const int64_t pages = PagesForRows(
+        total_rows, std::max<int64_t>(1, bytes / std::max<int64_t>(1, total_rows)));
     ctx->counters().pages_written += pages * passes;
     ctx->counters().pages_read += pages * passes;
   }
-  return Status::OK();
+  // The final buffer becomes the merge's resident run.
+  const std::vector<int64_t> order = SortIndexes(row_keys);
+  std::vector<Record> resident(order.size());
+  for (size_t i = 0; i < order.size(); ++i) {
+    resident[i].seq = base_seq_ + order[i];
+    resident[i].key = std::move(row_keys[order[i]]);
+    resident[i].row = std::move(rows[order[i]]);
+  }
+  return merge_->Start(ctx, std::move(resident), &charged_bytes_);
 }
 
 Status SortOp::Next(Tuple* out, bool* eof) {
-  if (sorter_ != nullptr) return sorter_->Next(out, eof, ctx_);
-  if (next_ >= sorted_.size()) {
-    *eof = true;
-    return Status::OK();
-  }
-  *out = sorted_[next_++];
-  *eof = false;
+  bool has = false;
+  MAGICDB_RETURN_IF_ERROR(merge_->Next(&next_, &has, ctx_));
+  *eof = !has;
+  if (has) std::swap(*out, next_.row);
   return Status::OK();
 }
 
 Status SortOp::Close() {
-  sorted_.clear();
-  sorter_.reset();
+  merge_.reset();
   if (ctx_ != nullptr) {
     ctx_->ReleaseMemory(charged_bytes_);
     charged_bytes_ = 0;

@@ -3,12 +3,13 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/common/hash_table.h"
 #include "src/exec/operator.h"
 #include "src/expr/expr.h"
-#include "src/spill/external_sorter.h"
+#include "src/spill/run_merge.h"
 
 namespace magicdb {
 
@@ -89,8 +90,13 @@ class DistinctOp final : public Operator {
 /// input exceeds the context memory budget, the predicted external merge
 /// passes are charged (write + read of all pages per pass). The buffered
 /// input is governed memory; when it breaches the query's hard limit and
-/// spilling is enabled, the sort degrades to an external merge sort
-/// (sorted runs on disk + k-way merge) with byte-identical output.
+/// spilling is enabled, the sort degrades to an external merge sort: each
+/// breach writes the buffer out as one sorted run of (seq, key tuple, row)
+/// records — the key tuples travel with the rows, so merging never
+/// re-evaluates sort expressions. Output is always one RunMerge over the
+/// runs (none in memory) and the final buffer as its resident run, by
+/// (keys under their asc/desc flags, then input sequence): the stable
+/// order of the in-memory sort, so spilled output is byte-identical.
 class SortOp final : public Operator {
  public:
   struct SortKey {
@@ -109,16 +115,43 @@ class SortOp final : public Operator {
   }
 
  private:
+  /// One buffered row with its input sequence and computed key tuple.
+  struct Record {
+    int64_t seq = 0;
+    Tuple key;
+    Tuple row;
+  };
+  struct Order {
+    using Head = Record;
+    std::vector<bool> ascending;
+    int CompareKeys(const Tuple& a, const Tuple& b) const;
+    bool Less(const Record& a, const Record& b) const {
+      const int c = CompareKeys(a.key, b.key);
+      return c < 0 || (c == 0 && a.seq < b.seq);
+    }
+    static Status Read(std::string_view record, Record* r);
+    static void Write(const Record& r, std::string* out) {
+      Append(r.seq, r.key, r.row, out);
+    }
+    static void Append(int64_t seq, const Tuple& key, const Tuple& row,
+                       std::string* out);
+  };
+
+  /// Buffer positions in rank order.
+  std::vector<int64_t> SortIndexes(const std::vector<Tuple>& keys) const;
+  /// Writes the buffer out as one sorted run, clears it and releases its
+  /// charge.
+  Status SpillRun(std::vector<Tuple>* rows, std::vector<Tuple>* keys);
+
   OpPtr child_;
   std::vector<SortKey> keys_;
   ExecContext* ctx_ = nullptr;
-  std::vector<Tuple> sorted_;
-  size_t next_ = 0;
   // Bytes charged for the buffered rows + key tuples; released on Close.
   int64_t charged_bytes_ = 0;
-  // External merge sort, engaged on a governed memory breach.
-  std::unique_ptr<ExternalSorter> sorter_;
-  int64_t base_seq_ = 0;
+  int64_t base_seq_ = 0;  // input sequence of the buffer's first row
+  std::unique_ptr<RunMerge<Order>> merge_;
+  Record next_;  // the record Next last returned; its buffers are reused
+  std::string scratch_;
 };
 
 /// Spools the child on first Open and replays the spool on every

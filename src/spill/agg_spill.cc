@@ -8,15 +8,17 @@
 
 namespace magicdb {
 
-namespace {
-bool RankLess(const StagedGroup& a, const StagedGroup& b) {
-  if (a.pos != b.pos) return a.pos < b.pos;
-  return a.sub < b.sub;
-}
-}  // namespace
-
 AggSpill::AggSpill(std::shared_ptr<SpillManager> mgr, size_t num_states)
-    : mgr_(std::move(mgr)), num_states_(num_states) {}
+    : mgr_(mgr), num_states_(num_states), merge_(std::move(mgr), Order{}) {}
+
+Status AggSpill::Order::Read(std::string_view record, StagedGroup* g) {
+  spill::RecordReader reader(record.data(), record.size());
+  return reader.ReadStagedGroup(g);
+}
+
+void AggSpill::Order::Write(const StagedGroup& g, std::string* out) {
+  spill::AppendStagedGroup(out, g);
+}
 
 Status AggSpill::Start(ExecContext* /*ctx*/) {
   partitions_ = std::make_unique<SpillPartitionSet>(mgr_.get(), "agg", 0);
@@ -60,7 +62,7 @@ Status AggSpill::EvictNextPartition(std::vector<StagedGroup>* groups,
     const int p = partitions_->PartitionFor(g.hash);
     if (spilled_[p]) {
       scratch_.clear();
-      spill::AppendStagedGroup(&scratch_, g);
+      Order::Write(g, &scratch_);
       MAGICDB_RETURN_IF_ERROR(partitions_->AddTo(p, scratch_, ctx));
     } else {
       kept.push_back(std::move(g));
@@ -74,18 +76,12 @@ Status AggSpill::EvictNextPartition(std::vector<StagedGroup>* groups,
 
 Status AggSpill::AddPartial(const StagedGroup& g, ExecContext* ctx) {
   scratch_.clear();
-  spill::AppendStagedGroup(&scratch_, g);
+  Order::Write(g, &scratch_);
   return partitions_->Add(g.hash, scratch_, ctx);
 }
 
-Status AggSpill::FinishInput(ExecContext* ctx) {
-  return partitions_->FinishWrites(ctx);
-}
-
-Status AggSpill::BuildOutput(std::vector<StagedGroup> resident,
-                             ExecContext* ctx) {
-  resident_ = std::move(resident);
-  resident_pos_ = 0;
+Status AggSpill::BuildOutput(ExecContext* ctx) {
+  MAGICDB_RETURN_IF_ERROR(partitions_->FinishWrites(ctx));
   std::vector<Task> stack;
   for (int p = 0; p < partitions_->fanout(); ++p) {
     if (partitions_->records(p) == 0) continue;
@@ -101,15 +97,7 @@ Status AggSpill::BuildOutput(std::vector<StagedGroup> resident,
     stack.pop_back();
     MAGICDB_RETURN_IF_ERROR(ProcessTask(std::move(task), &stack, ctx));
   }
-  MAGICDB_RETURN_IF_ERROR(merge_reservation_.Acquire(
-      ctx,
-      static_cast<int64_t>(outputs_.size()) * mgr_->config().batch_bytes));
-  for (RunCursor& run : outputs_) {
-    MAGICDB_RETURN_IF_ERROR(run.file->Rewind());
-    MAGICDB_RETURN_IF_ERROR(AdvanceRun(&run, ctx));
-  }
-  merge_ready_ = true;
-  return Status::OK();
+  return merge_.Start(ctx);
 }
 
 Status AggSpill::ProcessTask(Task task, std::vector<Task>* stack,
@@ -135,9 +123,8 @@ Status AggSpill::ProcessTask(Task task, std::vector<Task>* stack,
     bool has = false;
     status = task.file->NextRecord(&record, &has, ctx);
     if (!status.ok() || !has) break;
-    spill::RecordReader reader(record.data(), record.size());
     StagedGroup partial;
-    status = reader.ReadStagedGroup(&partial);
+    status = Order::Read(record, &partial);
     if (status.ok() && partial.states.size() != num_states_) {
       status = Status::Internal("aggregate spill record has " +
                                 std::to_string(partial.states.size()) +
@@ -167,7 +154,7 @@ Status AggSpill::ProcessTask(Task task, std::vector<Task>* stack,
     }
     // Combine the partial into the existing group, keeping the minimum
     // first-seen rank — re-creations after eviction carry later ranks.
-    if (RankLess(partial, *group)) {
+    if (Order::Less(partial, *group)) {
       group->pos = partial.pos;
       group->sub = partial.sub;
     }
@@ -179,21 +166,17 @@ Status AggSpill::ProcessTask(Task task, std::vector<Task>* stack,
     ctx->ReleaseMemory(charged);
     return status;
   }
-  std::sort(groups.begin(), groups.end(), RankLess);
+  std::sort(groups.begin(), groups.end(), Order::Less);
   if (!groups.empty()) {
     auto out = std::make_unique<SpillFile>(mgr_.get(), "agg-out");
     for (const StagedGroup& g : groups) {
       scratch_.clear();
-      spill::AppendStagedGroup(&scratch_, g);
+      Order::Write(g, &scratch_);
       status = out->Append(scratch_, ctx);
       if (!status.ok()) break;
     }
     if (status.ok()) status = out->FinishWrite(ctx);
-    if (status.ok()) {
-      RunCursor run;
-      run.file = std::move(out);
-      outputs_.push_back(std::move(run));
-    }
+    if (status.ok()) merge_.AddRun(std::move(out));
   }
   ctx->ReleaseMemory(charged);
   return status;
@@ -221,9 +204,8 @@ Status AggSpill::Repartition(Task task, std::vector<Task>* stack,
     bool has = false;
     MAGICDB_RETURN_IF_ERROR(task.file->NextRecord(&record, &has, ctx));
     if (!has) break;
-    spill::RecordReader reader(record.data(), record.size());
     StagedGroup partial;
-    MAGICDB_RETURN_IF_ERROR(reader.ReadStagedGroup(&partial));
+    MAGICDB_RETURN_IF_ERROR(Order::Read(record, &partial));
     MAGICDB_RETURN_IF_ERROR(child->Add(partial.hash, record, ctx));
   }
   MAGICDB_RETURN_IF_ERROR(child->FinishWrites(ctx));
@@ -235,46 +217,6 @@ Status AggSpill::Repartition(Task task, std::vector<Task>* stack,
     stack->push_back(std::move(t));
   }
   return Status::OK();
-}
-
-Status AggSpill::AdvanceRun(RunCursor* run, ExecContext* ctx) {
-  std::string_view record;
-  bool has = false;
-  MAGICDB_RETURN_IF_ERROR(run->file->NextRecord(&record, &has, ctx));
-  if (!has) {
-    run->has = false;
-    return Status::OK();
-  }
-  spill::RecordReader reader(record.data(), record.size());
-  MAGICDB_RETURN_IF_ERROR(reader.ReadStagedGroup(&run->group));
-  run->has = true;
-  return Status::OK();
-}
-
-Status AggSpill::NextGroup(StagedGroup* out, bool* has_group,
-                           ExecContext* ctx) {
-  MAGICDB_CHECK(merge_ready_);
-  RunCursor* best = nullptr;
-  for (RunCursor& run : outputs_) {
-    if (run.has && (best == nullptr || RankLess(run.group, best->group))) {
-      best = &run;
-    }
-  }
-  const bool resident_left = resident_pos_ < resident_.size();
-  if (resident_left &&
-      (best == nullptr || RankLess(resident_[resident_pos_], best->group))) {
-    *out = std::move(resident_[resident_pos_++]);
-    *has_group = true;
-    return Status::OK();
-  }
-  if (best == nullptr) {
-    *has_group = false;
-    merge_reservation_.Release();
-    return Status::OK();
-  }
-  *out = std::move(best->group);
-  *has_group = true;
-  return AdvanceRun(best, ctx);
 }
 
 }  // namespace magicdb

@@ -12,17 +12,17 @@
 ///     Rows that later route to a spilled partition (IsSpilled) bypass the
 ///     table: the operator folds them into a one-row partial state and
 ///     AddPartial()s it. Repeated breaches evict further partitions.
-///   - Groups of never-spilled partitions stay in memory and are complete
-///     at end of input — they form the resident run.
+///   - At end of input the operator evicts the partitions still in memory
+///     too, so re-aggregation starts from an (almost) empty tracker.
 ///   - BuildOutput() re-aggregates the spilled partitions one at a time:
 ///     partials of one partition are combined (AggState::CombineFrom, exact
 ///     for every supported aggregate) into a charged table, keeping the
 ///     minimum first-seen rank; a partition that still breaches recurses at
 ///     depth+1. Each re-aggregated partition is written out as one run
 ///     sorted by first-seen rank.
-///   - NextGroup() merges the resident run and the output runs by
-///     first-seen rank (pos, sub) — exactly the insertion order a fully
-///     in-memory aggregation emits, so results are byte-identical.
+///   - NextGroup() merges the output runs (RunMerge) by first-seen rank
+///     (pos, sub) — exactly the insertion order a fully in-memory
+///     aggregation emits, so results are byte-identical.
 ///
 /// Ranks are unique across groups (one input row creates at most one
 /// group), so the merge has no ties and needs no further tiebreak.
@@ -30,11 +30,13 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/common/hash_table.h"
 #include "src/common/statusor.h"
 #include "src/parallel/partitioned_aggregate.h"
+#include "src/spill/run_merge.h"
 #include "src/spill/spill_file.h"
 #include "src/spill/spill_manager.h"
 #include "src/spill/spill_partition_set.h"
@@ -73,31 +75,32 @@ class AggSpill {
   /// partition.
   Status AddPartial(const StagedGroup& g, ExecContext* ctx);
 
-  /// Seals the partition files after the last input row.
-  Status FinishInput(ExecContext* ctx);
+  /// Seals the partition files after the last input row and re-aggregates
+  /// them (all of them: the operator evicts every partition first);
+  /// afterwards NextGroup streams the merged result.
+  Status BuildOutput(ExecContext* ctx);
 
-  /// Re-aggregates the spilled partitions and takes ownership of the
-  /// resident (never-spilled, rank-ordered) groups; afterwards NextGroup
-  /// streams the merged result. The resident groups' memory remains
-  /// charged by the operator.
-  Status BuildOutput(std::vector<StagedGroup> resident, ExecContext* ctx);
-
-  Status NextGroup(StagedGroup* out, bool* has_group, ExecContext* ctx);
+  Status NextGroup(StagedGroup* out, bool* has_group, ExecContext* ctx) {
+    return merge_.Next(out, has_group, ctx);
+  }
 
  private:
   struct Task {
     std::unique_ptr<SpillFile> file;
     int depth = 0;
   };
-  struct RunCursor {
-    std::unique_ptr<SpillFile> file;
-    bool has = false;
-    StagedGroup group;
+  /// Partial-state records ranked by first-seen rank (pos, sub).
+  struct Order {
+    using Head = StagedGroup;
+    static bool Less(const StagedGroup& a, const StagedGroup& b) {
+      return a.pos != b.pos ? a.pos < b.pos : a.sub < b.sub;
+    }
+    static Status Read(std::string_view record, StagedGroup* g);
+    static void Write(const StagedGroup& g, std::string* out);
   };
 
   Status ProcessTask(Task task, std::vector<Task>* stack, ExecContext* ctx);
   Status Repartition(Task task, std::vector<Task>* stack, ExecContext* ctx);
-  Status AdvanceRun(RunCursor* run, ExecContext* ctx);
 
   const std::shared_ptr<SpillManager> mgr_;
   const size_t num_states_;
@@ -108,11 +111,7 @@ class AggSpill {
   /// the victims' charge is released — see EvictNextPartition).
   bool reserved_ = false;
 
-  std::vector<StagedGroup> resident_;
-  size_t resident_pos_ = 0;
-  std::vector<RunCursor> outputs_;
-  SpillReservation merge_reservation_;
-  bool merge_ready_ = false;
+  RunMerge<Order> merge_;
   std::string scratch_;
 };
 

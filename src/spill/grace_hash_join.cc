@@ -14,7 +14,19 @@ GraceHashJoin::GraceHashJoin(std::shared_ptr<SpillManager> mgr,
     : mgr_(std::move(mgr)),
       outer_keys_(std::move(outer_keys)),
       inner_keys_(std::move(inner_keys)),
-      residual_(residual) {}
+      residual_(residual),
+      merge_(mgr_, Order{}) {}
+
+Status GraceHashJoin::Order::Read(std::string_view record, Output* o) {
+  spill::RecordReader reader(record.data(), record.size());
+  MAGICDB_RETURN_IF_ERROR(reader.ReadI64(&o->seq));
+  return reader.ReadTuple(&o->row);
+}
+
+void GraceHashJoin::Order::Write(const Output& o, std::string* out) {
+  spill::AppendI64(out, o.seq);
+  spill::AppendTuple(out, o.row);
+}
 
 Status GraceHashJoin::BeginBuildSpill(ExecContext* ctx,
                                       std::vector<Tuple>* rows,
@@ -91,16 +103,7 @@ Status GraceHashJoin::FinishProbe(ExecContext* ctx) {
   }
   build_set_.reset();
   probe_set_.reset();
-  // Merge setup: one read frame per output run stays resident.
-  MAGICDB_RETURN_IF_ERROR(merge_reservation_.Acquire(
-      ctx,
-      static_cast<int64_t>(outputs_.size()) * mgr_->config().batch_bytes));
-  for (RunCursor& run : outputs_) {
-    MAGICDB_RETURN_IF_ERROR(run.file->Rewind());
-    MAGICDB_RETURN_IF_ERROR(AdvanceRun(&run, ctx));
-  }
-  merge_ready_ = true;
-  return Status::OK();
+  return merge_.Start(ctx);
 }
 
 Status GraceHashJoin::ProcessTask(Task task, std::vector<Task>* stack,
@@ -172,17 +175,16 @@ Status GraceHashJoin::ProcessTask(Task task, std::vector<Task>* stack,
         continue;  // hash collision
       }
       ctx->counters().tuples_processed += 1;
-      Tuple joined = ConcatTuples(row, build_row);
+      Output joined{seq, ConcatTuples(row, build_row)};
       if (residual_ != nullptr) {
         ctx->counters().exprs_evaluated += 1;
-        if (!EvalPredicate(*residual_, joined)) continue;
+        if (!EvalPredicate(*residual_, joined.row)) continue;
       }
       if (out == nullptr) {
         out = std::make_unique<SpillFile>(mgr_.get(), "join-out");
       }
       scratch_.clear();
-      spill::AppendI64(&scratch_, seq);
-      spill::AppendTuple(&scratch_, joined);
+      Order::Write(joined, &scratch_);
       status = out->Append(scratch_, ctx);
       if (!status.ok()) break;
     }
@@ -192,9 +194,7 @@ Status GraceHashJoin::ProcessTask(Task task, std::vector<Task>* stack,
   MAGICDB_RETURN_IF_ERROR(status);
   if (out != nullptr && out->records() > 0) {
     MAGICDB_RETURN_IF_ERROR(out->FinishWrite(ctx));
-    RunCursor run;
-    run.file = std::move(out);
-    outputs_.push_back(std::move(run));
+    merge_.AddRun(std::move(out));
   }
   return Status::OK();
 }
@@ -259,35 +259,13 @@ Status GraceHashJoin::Repartition(Task task, std::vector<Task>* stack,
   return Status::OK();
 }
 
-Status GraceHashJoin::AdvanceRun(RunCursor* run, ExecContext* ctx) {
-  std::string_view record;
-  bool has = false;
-  MAGICDB_RETURN_IF_ERROR(run->file->NextRecord(&record, &has, ctx));
-  if (!has) {
-    run->has = false;
-    return Status::OK();
-  }
-  spill::RecordReader reader(record.data(), record.size());
-  MAGICDB_RETURN_IF_ERROR(reader.ReadI64(&run->seq));
-  MAGICDB_RETURN_IF_ERROR(reader.ReadTuple(&run->row));
-  run->has = true;
-  return Status::OK();
-}
-
 Status GraceHashJoin::NextOutput(Tuple* out, bool* eof, ExecContext* ctx) {
-  MAGICDB_CHECK(merge_ready_);
-  RunCursor* best = nullptr;
-  for (RunCursor& run : outputs_) {
-    if (run.has && (best == nullptr || run.seq < best->seq)) best = &run;
-  }
-  if (best == nullptr) {
-    *eof = true;
-    merge_reservation_.Release();
-    return Status::OK();
-  }
-  *out = std::move(best->row);
-  *eof = false;
-  return AdvanceRun(best, ctx);
+  Output o;
+  bool has = false;
+  MAGICDB_RETURN_IF_ERROR(merge_.Next(&o, &has, ctx));
+  *eof = !has;
+  if (has) *out = std::move(o.row);
+  return Status::OK();
 }
 
 }  // namespace magicdb

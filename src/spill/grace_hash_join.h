@@ -21,7 +21,8 @@
 ///      build partition that itself breaches the limit is recursively
 ///      re-partitioned at depth+1 (both files), up to the configured
 ///      recursion bound.
-///   5. NextOutput() merges the output runs by probe sequence number.
+///   5. NextOutput() merges the output runs by probe sequence number
+///      (RunMerge).
 ///
 /// Determinism: rows of one hash are dumped and reloaded in their original
 /// arrival order, so each rebuilt hash chain matches the in-memory chain
@@ -33,9 +34,11 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/common/statusor.h"
+#include "src/spill/run_merge.h"
 #include "src/spill/spill_file.h"
 #include "src/spill/spill_manager.h"
 #include "src/spill/spill_partition_set.h"
@@ -74,17 +77,20 @@ class GraceHashJoin {
     std::unique_ptr<SpillFile> probe;
     int depth = 0;
   };
-  /// One sealed output run plus its merge cursor.
-  struct RunCursor {
-    std::unique_ptr<SpillFile> file;
-    bool has = false;
+  /// One output record: a joined row tagged with its probe sequence.
+  struct Output {
     int64_t seq = 0;
     Tuple row;
+  };
+  struct Order {
+    using Head = Output;
+    static bool Less(const Output& a, const Output& b) { return a.seq < b.seq; }
+    static Status Read(std::string_view record, Output* o);
+    static void Write(const Output& o, std::string* out);
   };
 
   Status ProcessTask(Task task, std::vector<Task>* stack, ExecContext* ctx);
   Status Repartition(Task task, std::vector<Task>* stack, ExecContext* ctx);
-  Status AdvanceRun(RunCursor* run, ExecContext* ctx);
 
   const std::shared_ptr<SpillManager> mgr_;
   const std::vector<int> outer_keys_;
@@ -94,9 +100,7 @@ class GraceHashJoin {
   std::unique_ptr<SpillPartitionSet> build_set_;
   std::unique_ptr<SpillPartitionSet> probe_set_;
   int64_t probe_seq_ = 0;
-  std::vector<RunCursor> outputs_;
-  SpillReservation merge_reservation_;
-  bool merge_ready_ = false;
+  RunMerge<Order> merge_;
   std::string scratch_;
 };
 

@@ -62,7 +62,17 @@ uint64_t SpillPartitionOf(uint64_t hash, int depth, int fanout) {
 }
 
 Status SpillReservation::Acquire(ExecContext* ctx, int64_t bytes) {
-  MAGICDB_RETURN_IF_ERROR(ctx->ChargeMemory(bytes));
+  Status charge = ctx->ChargeMemory(bytes);
+  if (!charge.ok()) {
+    const SpillManager* mgr = ctx->spill_manager().get();
+    if (!charge.IsResourceExhausted() || mgr == nullptr) return charge;
+    const SpillConfig& c = mgr->config();
+    return Status::ResourceExhausted(
+        charge.message() + "; spilling needs a limit of at least " +
+        "(2 * fanout + 3) * batch_bytes = (2 * " + std::to_string(c.fanout) +
+        " + 3) * " + std::to_string(c.batch_bytes) + " = " +
+        std::to_string(mgr->floor_bytes()) + " bytes");
+  }
   // Stack on top of any prior acquisition instead of requiring release-first.
   if (ctx_ == nullptr) ctx_ = ctx;
   bytes_ += bytes;

@@ -56,6 +56,16 @@ class SpillManager {
   bool enabled() const { return !config_.dir.empty(); }
   const SpillConfig& config() const { return config_; }
 
+  /// The smallest per-query memory limit at which spilling can work:
+  /// (2 * fanout + 3) * batch_bytes, what a Grace join holds while it
+  /// re-partitions one partition pair (two partition sets of write
+  /// buffers, the pair's two read frames and its output run's write
+  /// buffer). Every other spill step needs less: a merge needs three
+  /// frames. A spill buffer reservation that fails names this floor.
+  int64_t floor_bytes() const {
+    return (2 * config_.fanout + 3) * config_.batch_bytes;
+  }
+
   /// Path for the next spill file: unique within the process, labeled for
   /// debuggability (`magicdb-spill-<pid>-<seq>-<label>.bin`).
   std::string NextFilePath(const std::string& label);
@@ -157,7 +167,8 @@ class SpillReservation {
   SpillReservation& operator=(const SpillReservation&) = delete;
 
   /// Charges `bytes` to `ctx`'s tracker; on kResourceExhausted nothing is
-  /// retained. `ctx` must outlive the reservation.
+  /// retained and the message names the spill floor
+  /// (SpillManager::floor_bytes). `ctx` must outlive the reservation.
   Status Acquire(class ExecContext* ctx, int64_t bytes);
   void Release();
 

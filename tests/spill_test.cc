@@ -8,8 +8,10 @@
 // the I/O. Without a spill area — or with ExecOptions::allow_spill=false —
 // the same queries keep failing fast with kResourceExhausted.
 
+#include <dirent.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -18,13 +20,16 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/cancellation.h"
 #include "src/common/failpoint.h"
 #include "src/common/logging.h"
 #include "src/common/random.h"
 #include "src/db/database.h"
+#include "src/exec/exec_context.h"
 #include "src/server/query_service.h"
 #include "src/server/session.h"
 #include "src/spill/row_serde.h"
+#include "src/spill/run_merge.h"
 #include "src/spill/spill_manager.h"
 #include "tests/test_util.h"
 
@@ -518,6 +523,288 @@ TEST(SpillExecutionTest, SingleGiantKeyExhaustsRecursionAndFailsCleanly) {
   auto ok = session->Query(kSkewJoinQuery);
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
   EXPECT_FALSE(ok->rows.empty());
+}
+
+// ----- spilling converges at any limit above the floor -----
+
+// The benchmark's analytic_spill shapes (GROUP BY did, age; an Emp self
+// join; ORDER BY sal DESC, eid) on a 100k-row Emp with its value ranges, at
+// DoP 1 with the default 16 KiB spill frames. At 1 MiB every merge fits one
+// pass; this sweep goes below it.
+void MakeEmpWorkload(Database* db) {
+  MAGICDB_CHECK_OK(
+      db->Execute("CREATE TABLE Emp (eid INT, did INT, sal DOUBLE, age INT)"));
+  Random rng(11);
+  std::vector<Tuple> emp;
+  for (int64_t e = 0; e < 100000; ++e) {
+    emp.push_back({Value::Int64(e), Value::Int64(rng.UniformInt(0, 999)),
+                   Value::Double(50000.0 + rng.UniformInt(0, 99999)),
+                   Value::Int64(20 + rng.UniformInt(0, 49))});
+  }
+  MAGICDB_CHECK_OK(db->LoadRows("Emp", std::move(emp)));
+  OptimizerOptions* opts = db->mutable_optimizer_options();
+  opts->enable_nested_loops = false;
+  opts->enable_index_nested_loops = false;
+  opts->enable_sort_merge = false;
+}
+
+TEST(SpillExecutionTest, LimitSweepConvergesAboveFloor) {
+  Database db;
+  MakeEmpWorkload(&db);
+  const std::string dir = MakeSpillDir();
+  QueryServiceOptions so;
+  so.pool_threads = 2;
+  so.spill_dir = dir;
+  // The result queue charges the same limit and cannot spill.
+  so.scheduler_quantum_rows = 256;
+  so.stream_queue_rows = 256;
+  QueryService service(&db, so);
+  std::unique_ptr<Session> session = service.CreateSession();
+
+  SpillConfig defaults;
+  defaults.dir = dir;
+  const int64_t floor = SpillManager(defaults).floor_bytes();
+  EXPECT_LE(floor, 512 * 1024);
+
+  const char* queries[] = {
+      "SELECT E.did, E.age, COUNT(*) AS n, SUM(E.sal) AS s FROM Emp E "
+      "WHERE E.sal < 68000 GROUP BY E.did, E.age",
+      "SELECT A.eid, A.sal, B.age FROM Emp A, Emp B WHERE A.eid = B.eid "
+      "AND A.age < 43 AND B.sal < 95000",
+      "SELECT E.eid, E.sal, E.age FROM Emp E WHERE E.sal < 115000 "
+      "ORDER BY sal DESC, eid",
+  };
+  for (const char* query : queries) {
+    SCOPED_TRACE(query);
+    auto baseline = session->Query(query);
+    ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+    for (int64_t kib : {128, 256, 384, 512, 768}) {
+      const int64_t limit = kib * 1024;
+      SCOPED_TRACE("limit=" + std::to_string(limit) +
+                   " floor=" + std::to_string(floor));
+      ExecOptions exec;
+      exec.memory_limit_bytes = limit;
+      auto cursor = session->Open(query, exec);
+      ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
+      std::vector<Tuple> rows;
+      Status status;
+      while (true) {
+        auto batch = cursor->Fetch(256);
+        if (!batch.ok()) {
+          status = batch.status();
+          break;
+        }
+        if (batch->empty()) break;
+        for (Tuple& t : *batch) rows.push_back(std::move(t));
+      }
+      EXPECT_LE(cursor->memory_peak_bytes(), limit);
+      if (status.ok()) {
+        ExpectRowsIdentical(rows, baseline->rows);
+        EXPECT_GT(cursor->counters().spill_bytes_written, 0);
+      } else {
+        // Below the floor the documented answer is kResourceExhausted
+        // naming it; at or above it no query fails.
+        EXPECT_LT(limit, floor) << status.ToString();
+        EXPECT_EQ(status.code(), StatusCode::kResourceExhausted);
+        EXPECT_NE(status.message().find(std::to_string(floor)),
+                  std::string::npos)
+            << status.ToString();
+      }
+      cursor->Close();
+    }
+  }
+  rmdir(dir.c_str());  // every spill file was unlinked
+}
+
+// ----- bounded merge fan-in -----
+
+// One merge record: a rank with many duplicates across runs, plus the
+// record's origin so the stable tie-break by run order is observable.
+struct MergeRecord {
+  int64_t rank = 0;
+  int64_t id = 0;
+};
+struct MergeOrder {
+  using Head = MergeRecord;
+  static bool Less(const MergeRecord& a, const MergeRecord& b) {
+    return a.rank < b.rank;
+  }
+  static Status Read(std::string_view record, MergeRecord* r) {
+    spill::RecordReader reader(record.data(), record.size());
+    MAGICDB_RETURN_IF_ERROR(reader.ReadI64(&r->rank));
+    return reader.ReadI64(&r->id);
+  }
+  static void Write(const MergeRecord& r, std::string* out) {
+    spill::AppendI64(out, r.rank);
+    spill::AppendI64(out, r.id);
+  }
+};
+
+int CountFiles(const std::string& dir) {
+  int n = 0;
+  DIR* d = opendir(dir.c_str());
+  MAGICDB_CHECK(d != nullptr);
+  while (dirent* e = readdir(d)) {
+    if (e->d_name[0] != '.') ++n;
+  }
+  closedir(d);
+  return n;
+}
+
+// 40 runs of 60 records with ranks in [0, 50) — every rank appears in many
+// runs — plus a 30-record resident run charged kResidentBytes.
+constexpr int kMergeRuns = 40;
+constexpr int kMergeRunRecords = 60;
+constexpr int kResidentRecords = 30;
+constexpr int64_t kResidentBytes = 100;
+
+// Adds the file runs; returns the resident run, charged to `ctx`.
+std::vector<MergeRecord> AddMergeInputs(SpillManager* mgr,
+                                        RunMerge<MergeOrder>* merge,
+                                        ExecContext* ctx) {
+  Random rng(7);
+  auto sorted_ranks = [&](int n) {
+    std::vector<int64_t> ranks;
+    for (int j = 0; j < n; ++j) ranks.push_back(rng.UniformInt(0, 49));
+    std::sort(ranks.begin(), ranks.end());
+    return ranks;
+  };
+  for (int r = 0; r < kMergeRuns; ++r) {
+    auto file = std::make_unique<SpillFile>(mgr, "test-run");
+    std::string record;
+    int j = 0;
+    for (int64_t rank : sorted_ranks(kMergeRunRecords)) {
+      record.clear();
+      MergeOrder::Write({rank, r * 1000 + j++}, &record);
+      MAGICDB_CHECK_OK(file->Append(record, ctx));
+    }
+    MAGICDB_CHECK_OK(file->FinishWrite(ctx));
+    merge->AddRun(std::move(file));
+  }
+  std::vector<MergeRecord> resident;
+  int j = 0;
+  for (int64_t rank : sorted_ranks(kResidentRecords)) {
+    resident.push_back({rank, kMergeRuns * 1000 + j++});
+  }
+  MAGICDB_CHECK_OK(ctx->ChargeMemory(kResidentBytes));
+  return resident;
+}
+
+struct MergeRun {
+  Status status;
+  std::vector<std::pair<int64_t, int64_t>> records;  // (rank, id)
+  int64_t resident_charged = 0;
+  int64_t merge_bytes_written = 0;
+  int files_while_open = 0;
+  int64_t used_at_start = 0;
+  int64_t used_at_end = 0;
+};
+
+// Merges the inputs under `limit` bytes, on top of `held` bytes of other
+// state (limit 0 = ungoverned). Reads at most `max_records` (-1 = all)
+// before closing; `cancel` fires the query's token before Start.
+MergeRun RunMergeUnder(const std::string& dir, int64_t limit, int64_t held,
+                       int max_records = -1, bool cancel = false) {
+  SpillConfig config;
+  config.dir = dir;
+  config.batch_bytes = 256;
+  auto mgr = std::make_shared<SpillManager>(config);
+  auto tracker = std::make_shared<MemoryTracker>(limit);
+  ExecContext ctx;
+  ctx.set_memory_tracker(tracker);
+  ctx.set_spill_manager(mgr);
+  auto token = std::make_shared<CancelToken>();
+  ctx.set_cancel_token(token);
+  MAGICDB_CHECK_OK(ctx.ChargeMemory(held));
+  MergeRun out;
+  out.used_at_start = tracker->used_bytes();
+  {
+    RunMerge<MergeOrder> merge(mgr, MergeOrder{});
+    std::vector<MergeRecord> resident = AddMergeInputs(mgr.get(), &merge, &ctx);
+    out.resident_charged = kResidentBytes;
+    const int64_t written = ctx.counters().spill_bytes_written;
+    if (cancel) token->Cancel();
+    out.status = merge.Start(&ctx, std::move(resident), &out.resident_charged);
+    out.merge_bytes_written = ctx.counters().spill_bytes_written - written;
+    out.files_while_open = CountFiles(dir);
+    if (out.status.ok()) EXPECT_EQ(out.files_while_open, merge.runs());
+    while (out.status.ok() &&
+           (max_records < 0 ||
+            static_cast<int>(out.records.size()) < max_records)) {
+      MergeRecord r;
+      bool has = false;
+      MAGICDB_CHECK_OK(merge.Next(&r, &has, &ctx));
+      if (!has) break;
+      out.records.emplace_back(r.rank, r.id);
+    }
+    ctx.ReleaseMemory(out.resident_charged);
+  }
+  // Closed: every run file, intermediate ones included, is unlinked and
+  // every frame reservation returned.
+  EXPECT_EQ(CountFiles(dir), 0);
+  out.used_at_end = tracker->used_bytes();
+  return out;
+}
+
+// Room for three 256-byte frames beside 500 held bytes and the resident
+// run: F = 2, before and after the resident run is written out.
+constexpr int64_t kHeldBytes = 500;
+constexpr int64_t kFanInTwoLimit = kHeldBytes + kResidentBytes + 3 * 256 + 100;
+
+TEST(RunMergeTest, FanInTwoMatchesSinglePassRecordForRecord) {
+  const std::string dir = MakeSpillDir();
+  const MergeRun single = RunMergeUnder(dir, 0, 0);
+  ASSERT_TRUE(single.status.ok()) << single.status.ToString();
+  ASSERT_EQ(single.records.size(),
+            size_t{kMergeRuns * kMergeRunRecords + kResidentRecords});
+  // Ascending rank; ties in run order (the resident run last), then file
+  // order — which is ascending id, as ids encode (run, position).
+  EXPECT_TRUE(std::is_sorted(single.records.begin(), single.records.end()));
+  EXPECT_EQ(single.merge_bytes_written, 0);  // one pass, nothing rewritten
+  EXPECT_EQ(single.resident_charged, kResidentBytes);  // stayed in memory
+  EXPECT_EQ(single.files_while_open, kMergeRuns);
+  EXPECT_EQ(single.used_at_end, single.used_at_start);
+
+  // The 40 runs do not fit one pass, so the resident run is written out
+  // (its charge released) and the 41 runs are merged two at a time down
+  // to two.
+  const MergeRun tight = RunMergeUnder(dir, kFanInTwoLimit, kHeldBytes);
+  ASSERT_TRUE(tight.status.ok()) << tight.status.ToString();
+  EXPECT_GT(tight.merge_bytes_written, 0);
+  EXPECT_EQ(tight.resident_charged, 0);
+  EXPECT_EQ(tight.files_while_open, 2);
+  EXPECT_EQ(tight.records, single.records);
+  EXPECT_EQ(tight.used_at_end, tight.used_at_start);
+  rmdir(dir.c_str());
+}
+
+TEST(RunMergeTest, EarlyCloseAndCancelLeaveNoFilesOrCharge) {
+  const std::string dir = MakeSpillDir();
+  // RunMergeUnder checks the directory is empty after each close.
+  const MergeRun early = RunMergeUnder(dir, kFanInTwoLimit, kHeldBytes, 10);
+  ASSERT_TRUE(early.status.ok()) << early.status.ToString();
+  EXPECT_EQ(early.records.size(), 10u);
+  EXPECT_EQ(early.used_at_end, early.used_at_start);
+
+  const MergeRun cancelled =
+      RunMergeUnder(dir, kFanInTwoLimit, kHeldBytes, -1, /*cancel=*/true);
+  EXPECT_EQ(cancelled.status.code(), StatusCode::kCancelled)
+      << cancelled.status.ToString();
+  EXPECT_EQ(cancelled.used_at_end, cancelled.used_at_start);
+  rmdir(dir.c_str());
+}
+
+TEST(RunMergeTest, FramesThatCannotFitNameTheFloor) {
+  const std::string dir = MakeSpillDir();
+  // Two frames of room: not even a two-way pass plus its write buffer.
+  const MergeRun starved =
+      RunMergeUnder(dir, kHeldBytes + kResidentBytes + 2 * 256, kHeldBytes);
+  EXPECT_EQ(starved.status.code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(starved.status.message().find("(2 * fanout + 3) * batch_bytes"),
+            std::string::npos)
+      << starved.status.ToString();
+  EXPECT_EQ(starved.used_at_end, starved.used_at_start);
+  rmdir(dir.c_str());
 }
 
 #ifdef MAGICDB_FAILPOINTS
